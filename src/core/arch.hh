@@ -1,8 +1,8 @@
 /**
  * @file
- * Architecture selection: builds the right RT unit for a GpuConfig and
- * provides the one-call simulation entry point used by examples, tests
- * and the benchmark harness.
+ * The one-call simulation entry points used by examples, tests and the
+ * benchmark harness. GpuConfig::policy selects everything the RT
+ * units do (DESIGN.md §9).
  */
 
 #ifndef TRT_CORE_ARCH_HH
@@ -12,9 +12,6 @@
 
 namespace trt
 {
-
-/** Factory dispatching on GpuConfig::arch. */
-Gpu::RtUnitFactory makeRtUnitFactory();
 
 /**
  * Build a Gpu for @p cfg over @p scene / @p bvh and simulate the frame.

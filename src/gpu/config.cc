@@ -25,6 +25,8 @@ dispatchPolicyName(DispatchPolicyKind k)
         return "reorder";
       case DispatchPolicyKind::Predict:
         return "predict";
+      case DispatchPolicyKind::Prefetch:
+        return "prefetch";
       default:
         return "unknown";
     }
@@ -35,6 +37,8 @@ parseDispatchPolicy(const std::string &name, DispatchPolicyKind &out)
 {
     if (name == "baseline" || name == "fifo")
         out = DispatchPolicyKind::Fifo;
+    else if (name == "prefetch")
+        out = DispatchPolicyKind::Prefetch;
     else if (name == "vtq")
         out = DispatchPolicyKind::Vtq;
     else if (name == "reorder")
@@ -60,8 +64,8 @@ uint64_t
 GpuConfig::fingerprint() const
 {
     Fnv1a h;
-    h.pod(uint32_t(0x6C0F0003)); // schema tag (v3: + decode latency,
-                                 // wide box cost, shared predictor)
+    h.pod(uint32_t(0x6C0F0004)); // schema tag (v4: the policy is the
+                                 // only RT-unit selector, no arch)
 
     h.pod(numSms);
     h.pod(maxWarpsPerSm);
@@ -101,7 +105,6 @@ GpuConfig::fingerprint() const
     h.pod(maxBounces);
     h.pod(contributionCutoff);
 
-    h.pod(arch);
     h.pod(uint8_t(rayVirtualization));
     h.pod(uint8_t(virtualizationFree));
     h.pod(maxVirtualRaysPerSm);

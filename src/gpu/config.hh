@@ -17,36 +17,28 @@
 namespace trt
 {
 
-/** Which RT-unit architecture to simulate. */
-enum class RtArch : uint8_t
-{
-    Baseline,        //!< Ray-stationary RT unit (treelet traversal order).
-    TreeletPrefetch, //!< Chou et al. MICRO'23 treelet prefetcher.
-    TreeletQueues,   //!< This paper: dynamic treelet queues.
-};
-
-const char *rtArchName(RtArch a);
-
 /**
  * Dispatch policy: which ray runs next, in which warp, starting at
- * which node (DESIGN.md §9). The policy object owns the RT unit's
- * pending-ray pool and the scheduling decisions; the unit keeps the
- * pipeline/timing machinery. Every policy produces bit-identical
- * rendered frames — policies only move *when* rays run and *where*
- * traversal starts, never what a ray finally hits.
+ * which node (DESIGN.md §9) — the one variation point of the RT unit.
+ * The policy object owns the rays the unit holds and the scheduling
+ * decisions; the unit keeps the pipeline, timing and memory traffic.
+ * Every policy produces bit-identical rendered frames — policies only
+ * move *when* rays run and *where* traversal starts, never what a ray
+ * finally hits.
  */
 enum class DispatchPolicyKind : uint8_t
 {
-    Fifo,    //!< Arrival order, warps kept intact (the seed baseline).
-    Vtq,     //!< The paper's virtualized-treelet-queue heuristics.
-    Reorder, //!< Morton/octant-binned ray reordering (Meister et al.).
-    Predict, //!< Hash-based path prediction (Demoullin/Gubran/Aamodt).
+    Fifo,     //!< Arrival order, warps kept intact (the seed baseline).
+    Vtq,      //!< The paper's virtualized treelet queues.
+    Reorder,  //!< Morton/octant-binned ray reordering (Meister et al.).
+    Predict,  //!< Hash-based path prediction (Demoullin/Gubran/Aamodt).
+    Prefetch, //!< Fifo + Chou et al. MICRO'23 treelet prefetcher.
 };
 
 const char *dispatchPolicyName(DispatchPolicyKind k);
 
-/** Parse a TRT_POLICY value ("baseline"/"fifo", "vtq", "reorder",
- *  "predict"); false on unknown names. */
+/** Parse a TRT_POLICY value ("baseline"/"fifo", "prefetch", "vtq",
+ *  "reorder", "predict"); false on unknown names. */
 bool parseDispatchPolicy(const std::string &name, DispatchPolicyKind &out);
 
 /** Full simulation configuration. */
@@ -98,8 +90,7 @@ struct GpuConfig
     uint32_t maxBounces = 3;     //!< Secondary bounces at 1 spp.
     float contributionCutoff = 0.02f;
 
-    // ------ Architecture selection and VTQ parameters ------------------
-    RtArch arch = RtArch::Baseline;
+    // ------ VTQ parameters (policy Vtq) --------------------------------
     /** Ray virtualization (section 3.1/4.1). */
     bool rayVirtualization = false;
     /** Fig. 16: make CTA save/restore free to isolate its overhead. */
@@ -129,8 +120,8 @@ struct GpuConfig
     // ------ Dispatch policy (DESIGN.md §9) ----------------------------
     /** Strategy object the RT units consult for warp formation and
      *  scheduling decisions. Fifo reproduces the seed baseline timing
-     *  exactly; Vtq holds the paper's treelet-queue heuristics and is
-     *  what virtualizedTreeletQueues() selects. */
+     *  exactly; Vtq is the paper's treelet queues and is what
+     *  virtualizedTreeletQueues() selects. */
     DispatchPolicyKind policy = DispatchPolicyKind::Fifo;
     /** Reorder policy: bits per axis of the Morton origin grid over the
      *  scene bounds (bin key = 3*bits morton + 3 direction-octant
@@ -147,7 +138,7 @@ struct GpuConfig
      *  commit, keeping the fan-out bit-identical at any thread count. */
     bool predictShared = false;
 
-    // ------ Treelet prefetching baseline (Chou et al.) ----------------
+    // ------ Treelet prefetching (policy Prefetch, Chou et al.) --------
     /** Min cycles between prefetch issues (keeps the prefetcher from
      *  thrashing when the popular treelet flips every few cycles). */
     uint32_t prefetchCooldown = 100;
@@ -172,7 +163,6 @@ struct GpuConfig
     virtualizedTreeletQueues()
     {
         GpuConfig c;
-        c.arch = RtArch::TreeletQueues;
         c.policy = DispatchPolicyKind::Vtq;
         c.rayVirtualization = true;
         c.mem.l2ReservedBytes = 64 * 1024;
@@ -184,15 +174,15 @@ struct GpuConfig
     treeletPrefetch()
     {
         GpuConfig c;
-        c.arch = RtArch::TreeletPrefetch;
+        c.policy = DispatchPolicyKind::Prefetch;
         return c;
     }
 
     /**
      * Canonical configuration for a dispatch policy: Vtq implies the
      * full proposed architecture (treelet queues + ray virtualization);
-     * Fifo/Reorder/Predict run on the baseline ray-stationary unit.
-     * This is what TRT_POLICY and bench_policy select.
+     * the other policies need no further settings. This is what
+     * TRT_POLICY, JobSpec configs and bench_policy select.
      */
     static GpuConfig forPolicy(DispatchPolicyKind kind);
 

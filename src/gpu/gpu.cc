@@ -35,7 +35,7 @@ resolveSimThreads(uint32_t cfg_threads)
 } // anonymous namespace
 
 Gpu::Gpu(const GpuConfig &cfg, const Scene &scene, const Bvh &bvh,
-         RtUnitFactory factory, const std::vector<Ray> *primary_rays)
+         const std::vector<Ray> *primary_rays)
     : cfg_(cfg), scene_(scene), bvh_(bvh), mem_(cfg.mem),
       tracer_(scene, bvh, cfg.maxBounces, cfg.contributionCutoff),
       customRays_(primary_rays)
@@ -54,16 +54,7 @@ Gpu::Gpu(const GpuConfig &cfg, const Scene &scene, const Bvh &bvh,
     sms_.resize(cfg_.numSms);
     rtUnits_.reserve(cfg_.numSms);
     for (uint32_t sm = 0; sm < cfg_.numSms; sm++) {
-        std::unique_ptr<RtUnitBase> unit;
-        if (factory) {
-            unit = factory(cfg_, mem_, bvh_, sm);
-        } else {
-            if (cfg_.arch != RtArch::Baseline)
-                throw std::invalid_argument(
-                    "non-baseline arch requires an RT unit factory "
-                    "(use core/arch.hh makeRtUnitFactory)");
-            unit = std::make_unique<BaselineRtUnit>(cfg_, mem_, bvh_, sm);
-        }
+        auto unit = std::make_unique<BaselineRtUnit>(cfg_, mem_, bvh_, sm);
         if (sharedPredict_)
             unit->setSharedPredict(sharedPredict_.get());
         if (telem_)

@@ -76,24 +76,16 @@ struct RunStats
 class Gpu
 {
   public:
-    /** Creates the RT unit for each SM (lets src/core plug in the
-     *  proposed architectures without a dependency cycle). */
-    using RtUnitFactory = std::function<std::unique_ptr<RtUnitBase>(
-        const GpuConfig &, MemorySystem &, const Bvh &, uint32_t sm_id)>;
-
     /**
      * @param cfg Simulation configuration.
      * @param scene Scene to render (must outlive the Gpu).
      * @param bvh Built BVH (must outlive the Gpu).
-     * @param factory RT unit factory; defaults to BaselineRtUnit and
-     *        asserts if cfg.arch needs more.
      * @param primary_rays Optional: replace camera-generated primary
      *        rays with this list (one thread per ray; used to run
      *        general tree-traversal workloads through the RT unit,
      *        the paper's section 8 direction). Must outlive the Gpu.
      */
     Gpu(const GpuConfig &cfg, const Scene &scene, const Bvh &bvh,
-        RtUnitFactory factory = {},
         const std::vector<Ray> *primary_rays = nullptr);
     ~Gpu();
 
@@ -369,12 +361,12 @@ class Gpu
     PathTracer tracer_;
     const std::vector<Ray> *customRays_ = nullptr;
 
-    std::vector<std::unique_ptr<RtUnitBase>> rtUnits_;
+    std::vector<std::unique_ptr<BaselineRtUnit>> rtUnits_;
     /** Shared prediction table (cfg.predictShared): attached to every
      *  unit's PredictPolicy; pending trainings are flushed in SM order
      *  at each serial commit boundary. Null unless enabled. */
     std::unique_ptr<SharedPredict> sharedPredict_;
-    /** Cached RtUnitBase::nextEventCycle() per unit; refreshed after
+    /** Cached BaselineRtUnit::nextEventCycle() per unit; refreshed after
      *  every call into the unit so the main loop can poll in O(1). */
     std::vector<uint64_t> rtNextEvent_;
     std::vector<SmState> sms_;

@@ -216,12 +216,11 @@ HarnessOptions::apply(GpuConfig cfg) const
         DispatchPolicyKind kind;
         if (!parseDispatchPolicy(policyName, kind))
             throw EnvError("TRT_POLICY: unknown policy '" + policyName +
-                           "' (baseline|fifo|vtq|reorder|predict)");
+                           "' (baseline|fifo|prefetch|vtq|reorder|predict)");
         cfg.policy = kind;
         // Vtq names the full proposed architecture, so selecting it by
         // knob pulls in what virtualizedTreeletQueues() would set.
         if (kind == DispatchPolicyKind::Vtq) {
-            cfg.arch = RtArch::TreeletQueues;
             cfg.rayVirtualization = true;
             cfg.mem.l2ReservedBytes = 64 * 1024;
         }

@@ -69,11 +69,12 @@
  *   TRT_SAMPLE_DEBUG   =1: per-interval rate/strata trace and an
  *                      extrapolation summary on stderr.
  *   TRT_POLICY         dispatch policy (DESIGN.md §9): baseline|fifo
- *                      (seed behavior), vtq (implies the treelet-queue
- *                      architecture + ray virtualization), reorder
- *                      (Morton-binned ray reordering), predict
- *                      (hash-based path prediction). Unset keeps each
- *                      bench config's own policy.
+ *                      (seed behavior), prefetch (Chou et al. treelet
+ *                      prefetcher), vtq (treelet queues; implies ray
+ *                      virtualization), reorder (Morton-binned ray
+ *                      reordering), predict (hash-based path
+ *                      prediction). Unset keeps each bench config's
+ *                      own policy.
  *   TRT_REORDER_BITS   reorder policy: Morton bits per axis of the
  *                      origin binning grid (default 6).
  *   TRT_PREDICT_BITS   predict policy: log2 prediction-table entries

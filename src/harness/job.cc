@@ -39,20 +39,11 @@ formatFloat(float v)
 GpuConfig
 JobSpec::gpuConfig() const
 {
-    GpuConfig cfg;
-    if (config == "baseline" || config == "fifo")
-        cfg = GpuConfig{};
-    else if (config == "prefetch")
-        cfg = GpuConfig::treeletPrefetch();
-    else if (config == "vtq")
-        cfg = GpuConfig::virtualizedTreeletQueues();
-    else if (config == "reorder")
-        cfg = GpuConfig::forPolicy(DispatchPolicyKind::Reorder);
-    else if (config == "predict")
-        cfg = GpuConfig::forPolicy(DispatchPolicyKind::Predict);
-    else
+    DispatchPolicyKind kind;
+    if (!parseDispatchPolicy(config, kind))
         throw EnvError("job config: unknown '" + config +
                        "' (baseline|fifo|prefetch|vtq|reorder|predict)");
+    GpuConfig cfg = GpuConfig::forPolicy(kind);
     cfg.imageWidth = resolution;
     cfg.imageHeight = resolution;
     if (maxBounces > 0)
@@ -210,14 +201,13 @@ executeJob(const std::string &scene, float scale, const GpuConfig &cfg,
     if (opt.telem.on()) {
         run_cfg.telem = opt.telem;
         if (run_cfg.telem.outBase.empty()) {
-            // Scene + architecture + policy + short fingerprint: keeps
-            // concurrent scenes and configurations from clobbering each
-            // other's traces in one output directory.
+            // Scene + policy + short fingerprint: keeps concurrent
+            // scenes and configurations from clobbering each other's
+            // traces in one output directory.
             char fp_hex[9];
             std::snprintf(fp_hex, sizeof(fp_hex), "%08x",
                           unsigned(fp & 0xffffffffu));
             run_cfg.telem.outBase = scene + "_" +
-                                    rtArchName(run_cfg.arch) + "_" +
                                     dispatchPolicyName(run_cfg.policy) +
                                     "_" + fp_hex;
         }
@@ -250,9 +240,9 @@ executeJob(const std::string &scene, float scale, const GpuConfig &cfg,
         // Machine-parseable per-scene rate line (key=value pairs).
         double s = double(std::max<uint64_t>(ms, 1)) / 1000.0;
         std::fprintf(stderr,
-                     "[harness] sim-rate scene=%s arch=%s cycles=%llu "
+                     "[harness] sim-rate scene=%s policy=%s cycles=%llu "
                      "rays=%llu ms=%llu cyc_per_s=%.0f mrays_per_s=%.3f\n",
-                     scene.c_str(), rtArchName(cfg.arch),
+                     scene.c_str(), dispatchPolicyName(cfg.policy),
                      (unsigned long long)st.cycles,
                      (unsigned long long)st.raysTraced,
                      (unsigned long long)ms, double(st.cycles) / s,

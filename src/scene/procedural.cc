@@ -252,7 +252,6 @@ MeshBuilder::addBlade(const Vec3 &root, float height, float width,
 void
 MeshBuilder::append(const MeshBuilder &other, const Transform &xf)
 {
-    tris_.reserve(tris_.size() + other.tris_.size());
     for (const auto &t : other.tris_) {
         Triangle n;
         n.v0 = xf.apply(t.v0);

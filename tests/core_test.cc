@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the paper's proposed architectures: treelet prefetching and
- * virtualized treelet queues. The load-bearing invariant is that every
- * architecture renders the exact same image as the functional reference
- * — the optimizations may only change *timing*.
+ * Tests for the treelet prefetching and virtualized treelet queue
+ * policies. The load-bearing invariant is that every policy renders
+ * the exact same image as the functional reference — the
+ * optimizations may only change *timing*.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include <set>
 
 #include "core/arch.hh"
-#include "core/line_set.hh"
+#include "gpu/line_set.hh"
 #include "gpu/shader.hh"
 #include "scene/registry.hh"
 
@@ -41,15 +41,15 @@ struct Fixture
 };
 
 GpuConfig
-tinyConfig(RtArch arch)
+tinyConfig(DispatchPolicyKind policy)
 {
     GpuConfig cfg;
     cfg.imageWidth = 32;
     cfg.imageHeight = 32;
     cfg.numSms = 4;
     cfg.mem.numL1s = 4;
-    cfg.arch = arch;
-    if (arch == RtArch::TreeletQueues) {
+    cfg.policy = policy;
+    if (policy == DispatchPolicyKind::Vtq) {
         cfg.rayVirtualization = true;
         cfg.mem.l2ReservedBytes = 64 * 1024;
         // Scale queue thresholds to the small ray population of a
@@ -69,14 +69,15 @@ TEST(ArchEquivalence, AllArchesRenderIdenticalImages)
     Fixture f;
     auto ref = renderReference(f.scene, f.bvh, 32, 32, 3, 0.02f);
 
-    for (RtArch arch : {RtArch::Baseline, RtArch::TreeletPrefetch,
-                        RtArch::TreeletQueues}) {
-        GpuConfig cfg = tinyConfig(arch);
+    for (DispatchPolicyKind policy :
+         {DispatchPolicyKind::Fifo, DispatchPolicyKind::Prefetch,
+          DispatchPolicyKind::Vtq}) {
+        GpuConfig cfg = tinyConfig(policy);
         RunStats rs = simulate(cfg, f.scene, f.bvh);
         ASSERT_EQ(rs.framebuffer.size(), ref.size());
         for (size_t i = 0; i < ref.size(); i++) {
             ASSERT_EQ(ref[i], rs.framebuffer[i])
-                << "arch=" << rtArchName(arch) << " pixel " << i;
+                << "policy=" << dispatchPolicyName(policy) << " pixel " << i;
         }
     }
 }
@@ -88,32 +89,32 @@ TEST(ArchEquivalence, VtqVariantsRenderIdenticalImages)
 
     std::vector<GpuConfig> variants;
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.groupUnderpopulated = false; // naive treelet queues
         variants.push_back(c);
     }
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.repackThreshold = 0; // no repacking
         variants.push_back(c);
     }
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.skipTreeletPhase = true;
         variants.push_back(c);
     }
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.preloadEnabled = false;
         variants.push_back(c);
     }
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.rayVirtualization = false;
         variants.push_back(c);
     }
     {
-        GpuConfig c = tinyConfig(RtArch::TreeletQueues);
+        GpuConfig c = tinyConfig(DispatchPolicyKind::Vtq);
         c.virtualizationFree = true;
         variants.push_back(c);
     }
@@ -130,7 +131,7 @@ TEST(ArchEquivalence, VtqVariantsRenderIdenticalImages)
 TEST(TreeletPrefetch, IssuesAndUsesPrefetches)
 {
     Fixture f;
-    RunStats rs = simulate(tinyConfig(RtArch::TreeletPrefetch), f.scene,
+    RunStats rs = simulate(tinyConfig(DispatchPolicyKind::Prefetch), f.scene,
                            f.bvh);
     EXPECT_GT(rs.rt.prefetchIssues, 0u);
     EXPECT_GT(rs.rt.prefetchLines, 0u);
@@ -141,7 +142,7 @@ TEST(TreeletPrefetch, IssuesAndUsesPrefetches)
 TEST(TreeletQueues, UsesAllThreeModes)
 {
     Fixture f;
-    RunStats rs = simulate(tinyConfig(RtArch::TreeletQueues), f.scene,
+    RunStats rs = simulate(tinyConfig(DispatchPolicyKind::Vtq), f.scene,
                            f.bvh);
     EXPECT_GT(rs.rt.modeCycles[size_t(TraversalMode::Initial)], 0u);
     EXPECT_GT(rs.rt.modeCycles[size_t(TraversalMode::TreeletStationary)],
@@ -155,7 +156,7 @@ TEST(TreeletQueues, UsesAllThreeModes)
 TEST(TreeletQueues, VirtualizationSuspendsAndRestores)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_GT(rs.ctaSaves, 0u);
     EXPECT_EQ(rs.ctaSaves, rs.ctaRestores);
@@ -168,7 +169,7 @@ TEST(TreeletQueues, VirtualizationSuspendsAndRestores)
 TEST(TreeletQueues, VirtualizationFreeHasNoStateTraffic)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     cfg.virtualizationFree = true;
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_GT(rs.ctaSaves, 0u);
@@ -179,7 +180,7 @@ TEST(TreeletQueues, VirtualizationFreeHasNoStateTraffic)
 TEST(TreeletQueues, NoVirtualizationMeansNoSaves)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     cfg.rayVirtualization = false;
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_EQ(rs.ctaSaves, 0u);
@@ -189,7 +190,7 @@ TEST(TreeletQueues, NoVirtualizationMeansNoSaves)
 TEST(TreeletQueues, RayDataTrafficExists)
 {
     Fixture f;
-    RunStats rs = simulate(tinyConfig(RtArch::TreeletQueues), f.scene,
+    RunStats rs = simulate(tinyConfig(DispatchPolicyKind::Vtq), f.scene,
                            f.bvh);
     const auto &rd = rs.memClass(MemClass::RayData);
     EXPECT_GT(rd.writes, 0u);     // parked ray state
@@ -200,7 +201,7 @@ TEST(TreeletQueues, RayDataTrafficExists)
 TEST(TreeletQueues, RepackingHappensAndRaisesSimtEfficiency)
 {
     Fixture f("SPNZA", 0.1f);
-    GpuConfig with = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig with = tinyConfig(DispatchPolicyKind::Vtq);
     with.repackThreshold = 22;
     // Force every ray through the grouped ray-stationary path so the
     // queues hold plenty of strays for the repacker to pull from (a
@@ -222,7 +223,7 @@ TEST(TreeletQueues, RepackingHappensAndRaisesSimtEfficiency)
 TEST(TreeletQueues, TableHighWatersTracked)
 {
     Fixture f;
-    RunStats rs = simulate(tinyConfig(RtArch::TreeletQueues), f.scene,
+    RunStats rs = simulate(tinyConfig(DispatchPolicyKind::Vtq), f.scene,
                            f.bvh);
     EXPECT_GT(rs.rt.countTableHighWater, 0u);
     EXPECT_GT(rs.rt.queueTableEntriesHW, 0u);
@@ -232,7 +233,7 @@ TEST(TreeletQueues, TableHighWatersTracked)
 TEST(TreeletQueues, ConcurrentRayCapRespected)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     cfg.maxVirtualRaysPerSm = 64;
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_LE(rs.rt.maxConcurrentRays, 64u);
@@ -245,7 +246,7 @@ TEST(TreeletQueues, ConcurrentRayCapRespected)
 TEST(TreeletQueues, SkipTreeletPhaseHasNoTreeletWarps)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     cfg.skipTreeletPhase = true;
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_EQ(rs.rt.treeletWarpsFormed, 0u);
@@ -257,28 +258,13 @@ TEST(TreeletQueues, SkipTreeletPhaseHasNoTreeletWarps)
 TEST(TreeletQueues, NaiveModeFormsUnderpopulatedTreeletWarps)
 {
     Fixture f;
-    GpuConfig cfg = tinyConfig(RtArch::TreeletQueues);
+    GpuConfig cfg = tinyConfig(DispatchPolicyKind::Vtq);
     cfg.groupUnderpopulated = false;
     cfg.repackThreshold = 0;
     RunStats rs = simulate(cfg, f.scene, f.bvh);
     EXPECT_GT(rs.rt.treeletWarpsFormed, 0u);
     EXPECT_EQ(rs.rt.groupedWarpsFormed, 0u);
 }
-
-TEST(Factory, DispatchesOnArch)
-{
-    Fixture f;
-    auto factory = makeRtUnitFactory();
-    GpuConfig cfg = tinyConfig(RtArch::Baseline);
-    MemorySystem mem(cfg.mem);
-    auto base = factory(cfg, mem, f.bvh, 0);
-    EXPECT_TRUE(base->idle());
-
-    cfg.arch = RtArch::TreeletQueues;
-    auto tq = factory(cfg, mem, f.bvh, 0);
-    EXPECT_TRUE(tq->idle());
-}
-
 
 // ---- LineSet (open-addressed line-address set, PR 3) ---------------
 

@@ -157,7 +157,7 @@ TEST(Determinism, SimdToggleBaselineAndPrefetchArches)
         RunStats simd_on = runWithThreads("CRNVL", cfg, 1);
         setSimdEnabled(false);
         expectIdentical(simd_on, runWithThreads("CRNVL", cfg, 4),
-                        std::string(rtArchName(cfg.arch)) +
+                        std::string(dispatchPolicyName(cfg.policy)) +
                             "/CRNVL simd-on@1 vs simd-off@4");
         setSimdEnabled(true);
     }

@@ -66,12 +66,13 @@ TEST(GpuConfig, Table1Defaults)
 TEST(GpuConfig, ConvenienceConstructors)
 {
     GpuConfig vtq = GpuConfig::virtualizedTreeletQueues();
-    EXPECT_EQ(vtq.arch, RtArch::TreeletQueues);
+    EXPECT_EQ(vtq.policy, DispatchPolicyKind::Vtq);
     EXPECT_TRUE(vtq.rayVirtualization);
     EXPECT_GT(vtq.mem.l2ReservedBytes, 0u);
 
     GpuConfig pf = GpuConfig::treeletPrefetch();
-    EXPECT_EQ(pf.arch, RtArch::TreeletPrefetch);
+    EXPECT_EQ(pf.policy, DispatchPolicyKind::Prefetch);
+    EXPECT_FALSE(pf.rayVirtualization);
 }
 
 TEST(PathTracer, PrimaryRaysHitScene)
@@ -209,14 +210,6 @@ TEST(BaselineSim, RunTwiceThrows)
     Gpu gpu(tinyConfig(), f.scene, f.bvh);
     gpu.run();
     EXPECT_THROW(gpu.run(), std::logic_error);
-}
-
-TEST(BaselineSim, NonBaselineArchRequiresFactory)
-{
-    Fixture f;
-    GpuConfig cfg = tinyConfig();
-    cfg.arch = RtArch::TreeletQueues;
-    EXPECT_THROW(Gpu(cfg, f.scene, f.bvh), std::invalid_argument);
 }
 
 TEST(BaselineSim, MismatchedL1CountRejected)

@@ -10,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "gpu/run_stats_io.hh"
@@ -361,17 +363,23 @@ TEST(RunCache, FingerprintSensitivity)
     GpuConfig res = cfg;
     res.imageWidth = 128;
     EXPECT_NE(fp, runFingerprint(res, "BUNNY", 1.0f));
-    GpuConfig arch = GpuConfig::virtualizedTreeletQueues();
-    EXPECT_NE(fp, runFingerprint(arch, "BUNNY", 1.0f));
+    GpuConfig vtq = GpuConfig::virtualizedTreeletQueues();
+    EXPECT_NE(fp, runFingerprint(vtq, "BUNNY", 1.0f));
 }
 
-/** Fixture giving each test a private cache root. */
+/** Fixture giving each test a private cache root: ctest -j runs the
+ *  tests as concurrent processes, so the directory is keyed by test
+ *  name and pid. */
 class RunCacheOnDisk : public ::testing::Test
 {
   protected:
     RunCacheOnDisk()
         : dir_((std::filesystem::temp_directory_path() /
-                "trt_run_cache_test")
+                ("trt_run_cache_test_" +
+                 std::string(::testing::UnitTest::GetInstance()
+                                 ->current_test_info()
+                                 ->name()) +
+                 "_" + std::to_string(::getpid())))
                    .string()),
           cache_("TRT_CACHE", dir_.c_str())
     {

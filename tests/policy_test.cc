@@ -3,7 +3,7 @@
  * Dispatch-policy layer tests (DESIGN.md §9): every policy must be a
  * pure *scheduling* strategy — it may change when rays run, in which
  * warp, and where traversal starts, but never what a ray hits. The
- * suite pins that contract: frames identical across all four policies,
+ * suite pins that contract: frames identical across all policies,
  * bit-identical RunStats across thread counts and SIMD modes per
  * policy, snapshot round-trips of reorder-bin and prediction-table
  * state, traverser-level misprediction fallback, and the
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <ostream>
 #include <string>
 
 #include "bvh/traverser.hh"
@@ -78,8 +79,17 @@ struct PolicyVariant
     bool sharedPredict;
 };
 
+/** gtest prints parameters into the test IDs ctest lists; the label
+ *  keeps them stable (the default is a byte dump of the pointer). */
+void
+PrintTo(const PolicyVariant &v, std::ostream *os)
+{
+    *os << v.label;
+}
+
 constexpr PolicyVariant kAllVariants[] = {
     {"fifo", DispatchPolicyKind::Fifo, false},
+    {"prefetch", DispatchPolicyKind::Prefetch, false},
     {"vtq", DispatchPolicyKind::Vtq, false},
     {"reorder", DispatchPolicyKind::Reorder, false},
     {"predict", DispatchPolicyKind::Predict, false},

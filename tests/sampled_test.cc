@@ -257,7 +257,7 @@ TEST(Sampled, BaselineAndPrefetchArchesDeterministic)
         RunStats parallel = runSampledWith("CRNVL", cfg, 4, sc);
         EXPECT_EQ(RunStatsIo::fingerprint(serial),
                   RunStatsIo::fingerprint(parallel))
-            << rtArchName(cfg.arch);
+            << dispatchPolicyName(cfg.policy);
     }
 }
 

@@ -932,13 +932,12 @@ sceneSpec(const std::string &name)
     throw std::out_of_range("unknown scene: " + name);
 }
 
-Scene
-buildScene(const std::string &name, float scale)
+namespace
 {
-    const SceneSpec &spec = sceneSpec(name);
-    uint32_t budget =
-        std::max(500u, uint32_t(double(spec.targetTris) * double(scale)));
 
+Scene
+generateScene(const std::string &name, uint32_t budget)
+{
     if (name == "BUNNY")
         return makeBunny(budget);
     if (name == "SPNZA")
@@ -968,6 +967,21 @@ buildScene(const std::string &name, float scale)
     if (name == "ROBOT")
         return makeRobot(budget);
     throw std::out_of_range("unknown scene: " + name);
+}
+
+} // anonymous namespace
+
+Scene
+buildScene(const std::string &name, float scale)
+{
+    const SceneSpec &spec = sceneSpec(name);
+    uint32_t budget =
+        std::max(500u, uint32_t(double(spec.targetTris) * double(scale)));
+    Scene s = generateScene(name, budget);
+    // Generators append instanced meshes with geometric growth; drop
+    // the slack before the scene lives on beside its BVH.
+    s.triangles.shrink_to_fit();
+    return s;
 }
 
 } // namespace trt

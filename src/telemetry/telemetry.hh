@@ -48,7 +48,7 @@ struct TelemetryConfig
     /** Output directory (TRT_TELEM_OUT, default "telemetry"). */
     std::string outDir = "telemetry";
     /** Per-run file base name; the harness derives it from the scene,
-     *  architecture and config fingerprint. Empty -> "telem". */
+     *  dispatch policy and config fingerprint. Empty -> "telem". */
     std::string outBase;
 
     bool on() const { return enabled || trace; }

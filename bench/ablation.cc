@@ -75,46 +75,46 @@ main(int argc, char **argv)
     };
 
     std::vector<Variant> variants;
-    variants.push_back({"full", vtq()});
+    variants.push_back({"full", vtq(), std::nullopt});
     {
-        Variant v{"no_preload", vtq()};
+        Variant v{"no_preload", vtq(), std::nullopt};
         v.cfg.preloadEnabled = false;
         variants.push_back(v);
     }
     {
-        Variant v{"no_repack", vtq()};
+        Variant v{"no_repack", vtq(), std::nullopt};
         v.cfg.repackThreshold = 0;
         variants.push_back(v);
     }
     {
-        Variant v{"no_group", vtq()};
+        Variant v{"no_group", vtq(), std::nullopt};
         v.cfg.groupUnderpopulated = false;
         variants.push_back(v);
     }
     {
-        Variant v{"no_virt", vtq()};
+        Variant v{"no_virt", vtq(), std::nullopt};
         v.cfg.rayVirtualization = false;
         variants.push_back(v);
     }
     {
-        Variant v{"diverge_4", vtq()};
+        Variant v{"diverge_4", vtq(), std::nullopt};
         v.cfg.initialDivergeThreshold = 4;
         variants.push_back(v);
     }
     {
-        Variant v{"skip_treelet", vtq()};
+        Variant v{"skip_treelet", vtq(), std::nullopt};
         v.cfg.skipTreeletPhase = true;
         variants.push_back(v);
     }
     {
-        Variant v{"small_treelet", vtq()};
+        Variant v{"small_treelet", vtq(), std::nullopt};
         BvhConfig bc;
         bc.treeletMaxBytes = 2048;
         v.bvhCfg = bc;
         variants.push_back(v);
     }
     {
-        Variant v{"queue_32", vtq()};
+        Variant v{"queue_32", vtq(), std::nullopt};
         v.cfg.queueThreshold = 32;
         variants.push_back(v);
     }
@@ -122,14 +122,14 @@ main(int argc, char **argv)
         // Section 7.3: compressed wide BVH (Ylitie et al.) composed
         // with treelet queues — 32B quantized nodes, twice the nodes
         // per treelet and per cache line.
-        Variant v{"compressed_vtq", vtq()};
+        Variant v{"compressed_vtq", vtq(), std::nullopt};
         BvhConfig bc;
         bc.quantizedNodes = true;
         v.bvhCfg = bc;
         variants.push_back(v);
     }
     {
-        Variant v{"compressed_base", opt.apply(GpuConfig{})};
+        Variant v{"compressed_base", opt.apply(GpuConfig{}), std::nullopt};
         BvhConfig bc;
         bc.quantizedNodes = true;
         v.bvhCfg = bc;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Dispatch-policy x BVH-width ablation (DESIGN.md §9, §11): baseline
- * FIFO vs the paper's virtualized treelet queues vs Morton ray
- * reordering vs hash-based path prediction (private and shared table),
+ * FIFO vs the popular-treelet prefetcher vs the paper's virtualized
+ * treelet queues vs Morton ray reordering vs hash-based path
+ * prediction (private and shared table),
  * each at BVH width 4 (64-byte nodes) and width 8 (compressed 80-byte
  * nodes), per figure scene. Reports cycles and speedup over the
  * same-width FIFO, SIMT efficiency, BVH L1/L2 miss rates, the
@@ -56,12 +57,16 @@ struct Variant
 
 constexpr Variant kVariants[] = {
     {"fifo", DispatchPolicyKind::Fifo, false},
+    {"prefetch", DispatchPolicyKind::Prefetch, false},
     {"vtq", DispatchPolicyKind::Vtq, false},
     {"reorder", DispatchPolicyKind::Reorder, false},
     {"predict", DispatchPolicyKind::Predict, false},
     {"predict_shared", DispatchPolicyKind::Predict, true},
 };
 constexpr size_t kNumVariants = sizeof(kVariants) / sizeof(kVariants[0]);
+constexpr size_t kPrivatePredict = 4; //!< kVariants index of "predict".
+static_assert(kVariants[kPrivatePredict].kind == DispatchPolicyKind::Predict &&
+              !kVariants[kPrivatePredict].sharedPredict);
 constexpr int kWidths[] = {4, 8};
 constexpr size_t kNumWidths = sizeof(kWidths) / sizeof(kWidths[0]);
 
@@ -72,7 +77,8 @@ main(int argc, char **argv)
 {
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
     printBenchHeader("Dispatch-policy x BVH-width ablation "
-                     "(fifo / vtq / reorder / predict[+shared], "
+                     "(fifo / prefetch / vtq / reorder / "
+                     "predict[+shared], "
                      "width 4 / 8)",
                      opt);
 
@@ -114,7 +120,7 @@ main(int argc, char **argv)
         const RunStats &ref = runs[i][0][0]; // width-4 fifo
         for (size_t w = 0; w < kNumWidths; w++) {
             const RunStats &fifo = runs[i][w][0];
-            const RunStats &priv = runs[i][w][3]; // predict (private)
+            const RunStats &priv = runs[i][w][kPrivatePredict];
             for (size_t v = 0; v < kNumVariants; v++) {
                 const RunStats &st = runs[i][w][v];
                 if (!sameFrame(ref, st)) {

@@ -3,7 +3,8 @@
  * Flat binary serialization of a built Bvh, used by the harness's
  * bundle disk cache so benchmark binaries don't rebuild multi-million
  * triangle BVHs on every launch. The format is an internal cache — not
- * a stable interchange format — and is versioned by the harness.
+ * a stable interchange format — and is versioned by the harness. The
+ * bytes go through the shared codec (snapshot/serializer.hh).
  */
 
 #ifndef TRT_BVH_IO_HH
@@ -21,8 +22,15 @@ namespace trt
 struct BvhIo
 {
     static void save(std::ostream &os, const Bvh &bvh);
-    /** @return false on malformed input. */
+    /** Reads from the stream's current position. @return false on
+     *  malformed input, including a structure that traversal could not
+     *  walk safely (see consistent()). */
     static bool load(std::istream &is, Bvh &bvh);
+
+  private:
+    /** Every index traversal follows stays in range, and the tree has
+     *  no cycles. */
+    static bool consistent(const Bvh &bvh);
 };
 
 } // namespace trt

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <cstring>
-#include <sstream>
 
 #include <unistd.h>
 
 #include "gpu/run_stats_io.hh"
+#include "snapshot/serializer.hh"
 #include "util/env.hh"
 
 namespace trt
@@ -17,13 +16,7 @@ namespace trt
 namespace
 {
 
-struct FrameHeader
-{
-    uint32_t magic;
-    uint32_t type;
-    uint64_t length;
-};
-static_assert(sizeof(FrameHeader) == 16);
+constexpr size_t kHeaderBytes = 16; //!< u32 magic, u32 type, u64 length
 
 /** Payloads are RunStats blobs at most (a few MB for a framebuffer);
  *  anything larger is a corrupt length from a torn stream. */
@@ -45,17 +38,24 @@ writeAll(int fd, const char *data, size_t len)
     return true;
 }
 
+std::string
+bytesOf(const Serializer &s)
+{
+    return std::string(s.bytes().begin(), s.bytes().end());
+}
+
 } // anonymous namespace
 
 bool
 writeFrame(int fd, FarmMsg type, const std::string &payload)
 {
-    FrameHeader h{kFarmMagic, uint32_t(type), payload.size()};
-    char buf[sizeof(h)];
-    std::memcpy(buf, &h, sizeof(h));
-    if (!writeAll(fd, buf, sizeof(h)))
-        return false;
-    return writeAll(fd, payload.data(), payload.size());
+    Serializer h;
+    h.u32(kFarmMagic);
+    h.u32(uint32_t(type));
+    h.u64(payload.size());
+    std::string head = bytesOf(h);
+    return writeAll(fd, head.data(), head.size()) &&
+           writeAll(fd, payload.data(), payload.size());
 }
 
 int
@@ -77,108 +77,102 @@ FrameReader::pump(int fd)
 bool
 FrameReader::next(FarmMsg &type, std::string &payload)
 {
-    if (buf_.size() < sizeof(FrameHeader))
+    if (buf_.size() < kHeaderBytes)
         return false;
-    FrameHeader h;
-    std::memcpy(&h, buf_.data(), sizeof(h));
-    if (h.magic != kFarmMagic || h.length > kMaxPayload)
+    Deserializer h(buf_);
+    uint32_t magic = h.u32();
+    uint32_t msg = h.u32();
+    uint64_t length = h.u64();
+    if (magic != kFarmMagic || length > kMaxPayload)
         throw EnvError("farm protocol: corrupt frame header");
-    if (buf_.size() < sizeof(h) + h.length)
+    if (buf_.size() < kHeaderBytes + length)
         return false;
-    type = FarmMsg(h.type);
-    payload.assign(buf_, sizeof(h), h.length);
-    buf_.erase(0, sizeof(h) + h.length);
+    type = FarmMsg(msg);
+    payload.assign(buf_, kHeaderBytes, length);
+    buf_.erase(0, kHeaderBytes + length);
     return true;
 }
 
 // ---- payload encode/decode -------------------------------------------
 
+// A u8 flag travels as the low byte of a u64 (its 7 pad bytes zero),
+// so every head field is a u64.
+
 std::string
 encodeJob(uint64_t index, const JobSpec &spec, bool resume)
 {
-    JobWire w{};
-    w.index = index;
-    w.resume = resume ? 1 : 0;
-    std::string out(reinterpret_cast<const char *>(&w), sizeof(w));
-    out += spec.serialize();
-    return out;
+    Serializer s;
+    s.u64(index);
+    s.u64(resume ? 1 : 0);
+    return bytesOf(s) + spec.serialize();
 }
 
 void
 decodeJob(const std::string &payload, uint64_t &index, JobSpec &spec,
           bool &resume)
 {
-    if (payload.size() < sizeof(JobWire))
+    if (payload.size() < 16)
         throw EnvError("farm protocol: truncated Job payload");
-    JobWire w;
-    std::memcpy(&w, payload.data(), sizeof(w));
-    index = w.index;
-    resume = w.resume != 0;
-    spec = JobSpec::deserialize(payload.substr(sizeof(w)), "farm job");
+    Deserializer d(payload);
+    index = d.u64();
+    resume = d.u64() != 0;
+    spec = JobSpec::deserialize(payload.substr(16), "farm job");
 }
 
 std::string
 encodeResult(uint64_t index, const JobOutcome &out)
 {
-    ResultWire w{};
-    w.index = index;
-    w.fingerprint = out.fingerprint;
-    w.wallMs = out.wallMs;
-    w.cacheHit = out.cacheHit ? 1 : 0;
-    std::ostringstream ss(std::ios::binary);
-    RunStatsIo::save(ss, out.stats);
-    std::string payload(reinterpret_cast<const char *>(&w), sizeof(w));
-    payload += ss.str();
-    return payload;
+    Serializer s;
+    s.u64(index);
+    s.u64(out.fingerprint);
+    s.u64(out.wallMs);
+    s.u64(out.cacheHit ? 1 : 0);
+    RunStatsIo::save(s, out.stats);
+    return bytesOf(s);
 }
 
 bool
 decodeResult(const std::string &payload, uint64_t &index, JobOutcome &out)
 {
-    if (payload.size() < sizeof(ResultWire))
+    if (payload.size() < 32)
         return false;
-    ResultWire w;
-    std::memcpy(&w, payload.data(), sizeof(w));
-    index = w.index;
-    out.fingerprint = w.fingerprint;
-    out.wallMs = w.wallMs;
-    out.cacheHit = w.cacheHit != 0;
-    std::istringstream ss(payload.substr(sizeof(w)), std::ios::binary);
-    return RunStatsIo::load(ss, out.stats);
+    Deserializer d(payload);
+    index = d.u64();
+    out.fingerprint = d.u64();
+    out.wallMs = d.u64();
+    out.cacheHit = d.u64() != 0;
+    return RunStatsIo::load(d, out.stats);
 }
 
 std::string
 encodeError(uint64_t index, const std::string &message)
 {
-    std::string payload(reinterpret_cast<const char *>(&index),
-                        sizeof(index));
-    payload += message;
-    return payload;
+    return encodeHeartbeat(index) + message;
 }
 
 void
 decodeError(const std::string &payload, uint64_t &index,
             std::string &message)
 {
-    if (payload.size() < sizeof(index))
+    if (!decodeHeartbeat(payload, index))
         throw EnvError("farm protocol: truncated Error payload");
-    std::memcpy(&index, payload.data(), sizeof(index));
-    message = payload.substr(sizeof(index));
+    message = payload.substr(8);
 }
 
 std::string
 encodeHeartbeat(uint64_t index)
 {
-    return std::string(reinterpret_cast<const char *>(&index),
-                       sizeof(index));
+    Serializer s;
+    s.u64(index);
+    return bytesOf(s);
 }
 
 bool
 decodeHeartbeat(const std::string &payload, uint64_t &index)
 {
-    if (payload.size() < sizeof(index))
+    if (payload.size() < 8)
         return false;
-    std::memcpy(&index, payload.data(), sizeof(index));
+    index = Deserializer(payload).u64();
     return true;
 }
 

@@ -13,14 +13,18 @@
  * SIGKILLed worker can never be mistaken for a short-but-valid one.
  *
  * Payloads:
- *   Job:       JobWire POD header + JobSpec::serialize() text.
- *   Result:    ResultWire POD header + RunStatsIo::save() bytes.
+ *   Job:       u64 job index (echoed in replies), u64 resume flag,
+ *              then JobSpec::serialize() text.
+ *   Result:    u64 job index, u64 run-cache fingerprint the worker
+ *              used, u64 wall ms, u64 cache-hit flag, then
+ *              RunStatsIo::save() bytes.
  *   Error:     u64 job index + UTF-8 message text.
  *   Heartbeat: u64 job index the worker is currently simulating.
  *   Shutdown:  empty (scheduler → worker; the worker exits cleanly).
  *
- * All PODs are native-endian: both ends of a pipe are always the same
- * binary on the same host (workers are forks of the scheduler).
+ * Headers and payloads are encoded by the shared codec
+ * (snapshot/serializer.hh): little-endian, every read bounded by the
+ * bytes left. A flag is 0 or 1 in its u64.
  */
 
 #ifndef TRT_FARM_PROTOCOL_HH
@@ -44,24 +48,6 @@ enum class FarmMsg : uint32_t
 };
 
 constexpr uint32_t kFarmMagic = 0x54525446; // "TRTF"
-
-/** POD head of a Job payload; the JobSpec text follows. */
-struct JobWire
-{
-    uint64_t index;   //!< Scheduler's job index (echoed in replies).
-    uint8_t resume;   //!< Resume from this fingerprint's snapshot.
-    uint8_t pad[7] = {};
-};
-
-/** POD head of a Result payload; RunStatsIo bytes follow. */
-struct ResultWire
-{
-    uint64_t index;
-    uint64_t fingerprint; //!< Run-cache key the worker used.
-    uint64_t wallMs;
-    uint8_t cacheHit;
-    uint8_t pad[7] = {};
-};
 
 /**
  * Write one frame (header + payload) to @p fd, retrying short writes

@@ -173,7 +173,7 @@ loadGroups(Deserializer &d, const Bvh &bvh,
     uint64_t n = d.u64();
     for (uint64_t i = 0; i < n; i++) {
         std::vector<QueuedRay> g;
-        uint64_t m = d.u64();
+        uint64_t m = d.count(25); // >= 25 bytes per ray
         g.reserve(size_t(m));
         for (uint64_t j = 0; j < m; j++)
             g.push_back(loadQueuedRay(d, bvh));

@@ -739,7 +739,7 @@ Gpu::loadState(Deserializer &d)
             w.token = d.u64();
             w.aliveLanes = d.u32();
             w.pendingHits.clear();
-            uint64_t nhits = d.u64();
+            uint64_t nhits = d.count(1 + sizeof(HitRecord));
             w.pendingHits.reserve(nhits);
             for (uint64_t i = 0; i < nhits; i++) {
                 LaneHit lh;

@@ -1,10 +1,7 @@
 #include "gpu/run_stats_io.hh"
 
-#include <istream>
-#include <ostream>
-#include <sstream>
-
 #include "geom/hash.hh"
+#include "snapshot/serializer.hh"
 #include "telemetry/counter_registry.hh"
 
 namespace trt
@@ -15,132 +12,85 @@ namespace
 
 constexpr uint32_t kMagic = 0x54525452u; // 'TRTR'
 
-template <typename T>
-void
-writePod(std::ostream &os, const T &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-template <typename T>
-bool
-readPod(std::istream &is, T &v)
-{
-    is.read(reinterpret_cast<char *>(&v), sizeof(T));
-    return bool(is);
-}
-
-template <typename T>
-void
-writeVec(std::ostream &os, const std::vector<T> &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    uint64_t n = v.size();
-    os.write(reinterpret_cast<const char *>(&n), sizeof(n));
-    if (n)
-        os.write(reinterpret_cast<const char *>(v.data()),
-                 std::streamsize(n * sizeof(T)));
-}
-
-template <typename T>
-bool
-readVec(std::istream &is, std::vector<T> &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    uint64_t n = 0;
-    is.read(reinterpret_cast<char *>(&n), sizeof(n));
-    if (!is || n > (1ull << 32))
-        return false;
-    v.resize(n);
-    if (n)
-        is.read(reinterpret_cast<char *>(v.data()),
-                std::streamsize(n * sizeof(T)));
-    return bool(is);
-}
-
-// Counters are written field by field in counter-registry order (not
-// as one struct) so that uninitialized padding between the uint32
-// high-water fields never reaches the file: cache blobs stay
-// byte-deterministic, and every registered counter round-trips by
-// construction (v4; telemetry/counter_registry.hh).
-void
-writeCounters(std::ostream &os, const RunStats &st)
-{
-    forEachRunCounter(st, [&](const CounterInfo &, const auto &v) {
-        writePod(os, v);
-    });
-}
-
-bool
-readCounters(std::istream &is, RunStats &st)
-{
-    bool ok = true;
-    forEachRunCounter(st, [&](const CounterInfo &, auto &v) {
-        ok = ok && readPod(is, v);
-    });
-    return ok;
-}
-
 } // anonymous namespace
 
 void
 RunStatsIo::save(std::ostream &os, const RunStats &st)
 {
-    writePod(os, kMagic);
-    writePod(os, kVersion);
+    Serializer s(os);
+    save(s, st);
+}
 
-    writePod(os, st.cycles);
-    writeVec(os, st.framebuffer);
+void
+RunStatsIo::save(Serializer &s, const RunStats &st)
+{
+    s.u32(kMagic);
+    s.u32(kVersion);
+
+    s.u64(st.cycles);
+    s.vecPod(st.framebuffer);
     // Every scalar counter (RT, per-class memory, GPU-level) in
-    // registry order; MemClassStats stays all-uint64 so the per-field
-    // walk writes the same bytes a whole-struct write would.
+    // registry order, field by field, so that uninitialized padding
+    // between the uint32 high-water fields never reaches the blob:
+    // cache blobs stay byte-deterministic, and every registered counter
+    // round-trips by construction (v4; telemetry/counter_registry.hh).
+    // MemClassStats stays all-uint64 so the per-field walk writes the
+    // same bytes a whole-struct write would.
     static_assert(sizeof(MemClassStats) == 8 * sizeof(uint64_t));
-    writeCounters(os, st);
-    writePod(os, st.bvhL1MissRate);
-    writeVec(os, st.bvhMissSeries);
-    writeVec(os, st.primaryHits);
+    forEachRunCounter(st, [&](const CounterInfo &, const auto &v) {
+        s.pod(v);
+    });
+    s.pod(st.bvhL1MissRate);
+    s.vecPod(st.bvhMissSeries);
+    s.vecPod(st.primaryHits);
 
     // v2: sampled-run summary (all zeros for full runs).
-    writePod(os, uint8_t(st.sampled.enabled ? 1 : 0));
-    writePod(os, st.sampled.intervals);
-    writePod(os, st.sampled.measuredCycles);
-    writePod(os, st.sampled.measuredRounds);
-    writePod(os, st.sampled.totalRays);
-    writePod(os, st.sampled.ffRays);
-    writePod(os, st.sampled.cyclesCi95);
-    writeVec(os, st.sampled.counterCi95);
+    s.b(st.sampled.enabled);
+    s.pod(st.sampled.intervals);
+    s.pod(st.sampled.measuredCycles);
+    s.pod(st.sampled.measuredRounds);
+    s.pod(st.sampled.totalRays);
+    s.pod(st.sampled.ffRays);
+    s.pod(st.sampled.cyclesCi95);
+    s.vecPod(st.sampled.counterCi95);
 }
 
 bool
 RunStatsIo::load(std::istream &is, RunStats &st)
 {
-    uint32_t magic = 0, version = 0;
-    if (!readPod(is, magic) || !readPod(is, version))
-        return false;
-    if (magic != kMagic || version != kVersion)
-        return false;
+    Deserializer d(is);
+    return load(d, st);
+}
 
-    if (!(readPod(is, st.cycles) && readVec(is, st.framebuffer) &&
-          readCounters(is, st) && readPod(is, st.bvhL1MissRate) &&
-          readVec(is, st.bvhMissSeries) && readVec(is, st.primaryHits)))
-        return false;
+bool
+RunStatsIo::load(Deserializer &d, RunStats &st)
+{
+    try {
+        if (d.u32() != kMagic || d.u32() != kVersion)
+            return false;
+        st.cycles = d.u64();
+        st.framebuffer = d.vecPod<Vec3>();
+        forEachRunCounter(st, [&](const CounterInfo &, auto &v) {
+            v = d.pod<std::remove_reference_t<decltype(v)>>();
+        });
+        st.bvhL1MissRate = d.pod<double>();
+        st.bvhMissSeries = d.vecPod<double>();
+        st.primaryHits = d.vecPod<HitRecord>();
 
-    uint8_t sampled_enabled = 0;
-    if (!(readPod(is, sampled_enabled) &&
-          readPod(is, st.sampled.intervals) &&
-          readPod(is, st.sampled.measuredCycles) &&
-          readPod(is, st.sampled.measuredRounds) &&
-          readPod(is, st.sampled.totalRays) &&
-          readPod(is, st.sampled.ffRays) &&
-          readPod(is, st.sampled.cyclesCi95) &&
-          readVec(is, st.sampled.counterCi95)))
+        st.sampled.enabled = d.b();
+        st.sampled.intervals = d.pod<decltype(st.sampled.intervals)>();
+        st.sampled.measuredCycles = d.u64();
+        st.sampled.measuredRounds = d.u64();
+        st.sampled.totalRays = d.u64();
+        st.sampled.ffRays = d.u64();
+        st.sampled.cyclesCi95 = d.pod<double>();
+        st.sampled.counterCi95 = d.vecPod<double>();
+    } catch (const SnapshotError &) {
         return false;
-    st.sampled.enabled = sampled_enabled != 0;
-
+    }
     // The blob must end exactly here; trailing bytes mean a schema skew
     // that kVersion failed to catch.
-    return is.peek() == std::istream::traits_type::eof();
+    return d.atEnd();
 }
 
 uint64_t
@@ -149,11 +99,10 @@ RunStatsIo::fingerprint(const RunStats &st)
     // Hash the exact serialized form: anything save() covers is covered
     // here, and padding can never leak in (save() writes field by
     // field).
-    std::ostringstream os(std::ios::binary);
-    save(os, st);
-    std::string bytes = os.str();
+    Serializer s;
+    save(s, st);
     Fnv1a h;
-    h.bytes(bytes.data(), bytes.size());
+    h.bytes(s.bytes().data(), s.bytes().size());
     return h.value();
 }
 

@@ -15,6 +15,9 @@
 namespace trt
 {
 
+class Serializer;
+class Deserializer;
+
 struct RunStatsIo
 {
     /** Bump on any RunStats/RtStats/MemClassStats layout change. */
@@ -22,10 +25,13 @@ struct RunStatsIo
                                             //!< order, + treeletSwitches
 
     static void save(std::ostream &os, const RunStats &st);
+    static void save(Serializer &s, const RunStats &st);
 
     /** Returns false (leaving @p st unspecified) on magic/version
-     *  mismatch or truncation. */
+     *  mismatch, truncation, a bad length prefix or trailing bytes (the
+     *  blob must end the input). */
     static bool load(std::istream &is, RunStats &st);
+    static bool load(Deserializer &d, RunStats &st);
 
     /**
      * FNV-1a over the serialized bytes of @p st: covers every field

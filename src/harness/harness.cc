@@ -15,6 +15,7 @@
 #include "bvh/io.hh"
 #include "harness/job.hh"
 #include "harness/run_cache.hh"
+#include "snapshot/serializer.hh"
 #include "util/env.hh"
 
 namespace trt
@@ -25,32 +26,7 @@ namespace
 
 /** Bump when scene generators, BVH build or formats change. */
 constexpr uint32_t kBundleCacheVersion = 2; //!< v2: wide-BVH io header.
-
-template <typename T>
-void
-writeVec(std::ostream &os, const std::vector<T> &v)
-{
-    uint64_t n = v.size();
-    os.write(reinterpret_cast<const char *>(&n), sizeof(n));
-    if (n)
-        os.write(reinterpret_cast<const char *>(v.data()),
-                 std::streamsize(n * sizeof(T)));
-}
-
-template <typename T>
-bool
-readVec(std::istream &is, std::vector<T> &v)
-{
-    uint64_t n = 0;
-    is.read(reinterpret_cast<char *>(&n), sizeof(n));
-    if (!is || n > (1ull << 32))
-        return false;
-    v.resize(n);
-    if (n)
-        is.read(reinterpret_cast<char *>(v.data()),
-                std::streamsize(n * sizeof(T)));
-    return bool(is);
-}
+constexpr uint32_t kBundleMagic = 0x54525442u; // 'TRTB'
 
 std::filesystem::path
 cachePath(const std::string &name, float scale, const BvhConfig &bvhCfg)
@@ -74,37 +50,31 @@ msSince(std::chrono::steady_clock::time_point t0)
                         .count());
 }
 
+} // anonymous namespace
+
 bool
 loadBundleFile(const std::filesystem::path &path, SceneBundle &b)
 {
     std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    uint32_t magic = 0, ver = 0;
-    is.read(reinterpret_cast<char *>(&magic), 4);
-    is.read(reinterpret_cast<char *>(&ver), 4);
-    if (!is || magic != 0x54525442u || ver != kBundleCacheVersion)
-        return false;
-
-    uint64_t name_len = 0;
-    is.read(reinterpret_cast<char *>(&name_len), sizeof(name_len));
-    if (!is || name_len > 256)
-        return false;
-    b.scene.name.resize(name_len);
-    is.read(b.scene.name.data(), std::streamsize(name_len));
-    b.name = b.scene.name;
-
-    is.read(reinterpret_cast<char *>(&b.scene.background),
-            sizeof(b.scene.background));
-    Camera::State cam{};
-    is.read(reinterpret_cast<char *>(&cam), sizeof(cam));
-    b.scene.camera = Camera::fromState(cam);
-    if (!readVec(is, b.scene.materials) ||
-        !readVec(is, b.scene.triangles)) {
+    Deserializer d(is);
+    try {
+        if (d.u32() != kBundleMagic || d.u32() != kBundleCacheVersion)
+            return false;
+        b.scene.name = d.str();
+        b.scene.background = d.pod<Vec3>();
+        b.scene.camera = Camera::fromState(d.pod<Camera::State>());
+        b.scene.materials = d.vecPod<Material>();
+        b.scene.triangles = d.vecPod<Triangle>();
+    } catch (const SnapshotError &) {
         return false;
     }
+    for (const Triangle &t : b.scene.triangles)
+        if (t.material >= b.scene.materials.size())
+            return false;
+    // The BVH follows in the same stream, read from where d stopped.
     if (!BvhIo::load(is, b.bvh))
         return false;
+    b.name = b.scene.name;
     b.bvhStats = b.bvh.stats();
     return true;
 }
@@ -117,22 +87,16 @@ saveBundleFile(const std::filesystem::path &path, const SceneBundle &b)
     std::ofstream os(path, std::ios::binary);
     if (!os)
         return;
-    uint32_t magic = 0x54525442u, ver = kBundleCacheVersion;
-    os.write(reinterpret_cast<const char *>(&magic), 4);
-    os.write(reinterpret_cast<const char *>(&ver), 4);
-    uint64_t name_len = b.scene.name.size();
-    os.write(reinterpret_cast<const char *>(&name_len), sizeof(name_len));
-    os.write(b.scene.name.data(), std::streamsize(name_len));
-    os.write(reinterpret_cast<const char *>(&b.scene.background),
-             sizeof(b.scene.background));
-    Camera::State cam = b.scene.camera.state();
-    os.write(reinterpret_cast<const char *>(&cam), sizeof(cam));
-    writeVec(os, b.scene.materials);
-    writeVec(os, b.scene.triangles);
+    Serializer s(os);
+    s.u32(kBundleMagic);
+    s.u32(kBundleCacheVersion);
+    s.str(b.scene.name);
+    s.pod(b.scene.background);
+    s.pod(b.scene.camera.state());
+    s.vecPod(b.scene.materials);
+    s.vecPod(b.scene.triangles);
     BvhIo::save(os, b.bvh);
 }
-
-} // anonymous namespace
 
 std::string
 cacheRootDir()

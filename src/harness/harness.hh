@@ -127,6 +127,7 @@
 #ifndef TRT_HARNESS_HARNESS_HH
 #define TRT_HARNESS_HARNESS_HH
 
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -208,6 +209,13 @@ const SceneBundle &getSceneBundle(const std::string &name, float scale,
 
 /** Same, with the environment's BVH parameters (TRT_BVH_WIDTH). */
 const SceneBundle &getSceneBundle(const std::string &name, float scale);
+
+/** The bundle cache's file: magic, version, scene (name, background,
+ *  camera, materials, triangles), then a BvhIo stream. Load returns
+ *  false on a missing, stale or malformed file; save is best effort. */
+bool loadBundleFile(const std::filesystem::path &path, SceneBundle &b);
+void saveBundleFile(const std::filesystem::path &path,
+                    const SceneBundle &b);
 
 /**
  * Simulate one scene under @p cfg (resolution from cfg). Consults the

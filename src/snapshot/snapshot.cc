@@ -1,7 +1,6 @@
 #include "snapshot/snapshot.hh"
 
 #include <algorithm>
-#include <cstddef>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -18,17 +17,9 @@ namespace
 
 constexpr uint32_t kMagic = 0x54525453u; // 'TRTS' (LE "STRT" on disk)
 
-struct SnapshotHeader
-{
-    uint32_t magic;
-    uint32_t version;
-    uint64_t worldFp;
-    uint64_t cycle;
-    uint64_t payloadBytes;
-    uint32_t payloadCrc;
-    uint32_t headerCrc;
-};
-static_assert(sizeof(SnapshotHeader) == 40);
+/** Bytes of the file header; its CRC covers the bytes before it. */
+constexpr size_t kHeaderBytes = 40;
+constexpr size_t kHeaderCrcAt = 36;
 
 std::string
 fpHex(uint64_t fp)
@@ -97,14 +88,14 @@ writeSnapshotFile(const std::string &dir, uint64_t worldFp, uint64_t cycle,
     std::error_code ec;
     fs::create_directories(dir, ec); // best effort; open() reports failure
 
-    SnapshotHeader h{};
-    h.magic = kMagic;
-    h.version = kSnapshotVersion;
-    h.worldFp = worldFp;
-    h.cycle = cycle;
-    h.payloadBytes = payload.size();
-    h.payloadCrc = crc32(payload.data(), payload.size());
-    h.headerCrc = crc32(&h, offsetof(SnapshotHeader, headerCrc));
+    Serializer h;
+    h.u32(kMagic);
+    h.u32(kSnapshotVersion);
+    h.u64(worldFp);
+    h.u64(cycle);
+    h.u64(payload.size());
+    h.u32(crc32(payload.data(), payload.size()));
+    h.u32(crc32(h.bytes().data(), kHeaderCrcAt));
 
     fs::path final_path = fs::path(dir) / snapshotFileName(worldFp, cycle);
     fs::path tmp_path =
@@ -114,7 +105,8 @@ writeSnapshotFile(const std::string &dir, uint64_t worldFp, uint64_t cycle,
         if (!os)
             throw SnapshotError("snapshot: cannot open " +
                                 tmp_path.string() + " for writing");
-        os.write(reinterpret_cast<const char *>(&h), sizeof(h));
+        os.write(reinterpret_cast<const char *>(h.bytes().data()),
+                 std::streamsize(kHeaderBytes));
         os.write(reinterpret_cast<const char *>(payload.data()),
                  std::streamsize(payload.size()));
         os.flush();
@@ -142,37 +134,39 @@ readSnapshotPayload(const std::filesystem::path &path,
     if (!is)
         throw SnapshotError("snapshot: cannot open " + path.string());
 
-    SnapshotHeader h{};
-    is.read(reinterpret_cast<char *>(&h), sizeof(h));
-    if (!is || is.gcount() != sizeof(h))
+    Deserializer file(is);
+    uint8_t head[kHeaderBytes];
+    if (file.remaining() < kHeaderBytes)
         throw SnapshotError("snapshot: truncated header in " +
                             path.string());
-    if (h.magic != kMagic)
+    file.raw(head, kHeaderBytes);
+    Deserializer h(head, kHeaderBytes);
+    uint32_t magic = h.u32();
+    uint32_t version = h.u32();
+    uint64_t world_fp = h.u64();
+    h.u64(); // cycle: the file name carries it
+    uint64_t payload_bytes = h.u64();
+    uint32_t payload_crc = h.u32();
+    if (magic != kMagic)
         throw SnapshotError("snapshot: bad magic in " + path.string());
-    if (crc32(&h, offsetof(SnapshotHeader, headerCrc)) != h.headerCrc)
+    if (crc32(head, kHeaderCrcAt) != h.u32())
         throw SnapshotError("snapshot: header CRC mismatch in " +
                             path.string());
-    if (h.version != kSnapshotVersion)
-        throw SnapshotError("snapshot: version " +
-                            std::to_string(h.version) + " != " +
-                            std::to_string(kSnapshotVersion) + " in " +
-                            path.string());
-    if (h.worldFp != expectedWorldFp)
+    if (version != kSnapshotVersion)
+        throw SnapshotError("snapshot: version " + std::to_string(version) +
+                            " != " + std::to_string(kSnapshotVersion) +
+                            " in " + path.string());
+    if (world_fp != expectedWorldFp)
         throw SnapshotError("snapshot: fingerprint mismatch in " +
-                            path.string() + " (snapshot " +
-                            fpHex(h.worldFp) + ", world " +
-                            fpHex(expectedWorldFp) + ")");
-    if (h.payloadBytes > (1ull << 34))
-        throw SnapshotError("snapshot: implausible payload size in " +
-                            path.string());
-
-    std::vector<uint8_t> payload(size_t(h.payloadBytes));
-    is.read(reinterpret_cast<char *>(payload.data()),
-            std::streamsize(payload.size()));
-    if (!is || size_t(is.gcount()) != payload.size())
+                            path.string() + " (snapshot " + fpHex(world_fp) +
+                            ", world " + fpHex(expectedWorldFp) + ")");
+    if (payload_bytes > file.remaining())
         throw SnapshotError("snapshot: truncated payload in " +
                             path.string());
-    if (crc32(payload.data(), payload.size()) != h.payloadCrc)
+
+    std::vector<uint8_t> payload(static_cast<size_t>(payload_bytes));
+    file.raw(payload.data(), payload.size());
+    if (crc32(payload.data(), payload.size()) != payload_crc)
         throw SnapshotError("snapshot: payload CRC mismatch in " +
                             path.string());
     return payload;

@@ -5,7 +5,7 @@
  * fingerprint the run cache uses so a stale snapshot can never resume
  * against the wrong world (DESIGN.md §7).
  *
- * File layout (all little-endian host order):
+ * File layout (little-endian, encoded by the shared codec):
  *
  *   [0]  u32 magic   'TRTS'
  *   [4]  u32 version kSnapshotVersion

@@ -185,7 +185,7 @@ SampleAccumulator::loadState(Deserializer &d)
     measuredCycles_ = d.u64();
     measuredWork_ = d.u64();
     residualWork_ = d.u64();
-    uint64_t n = d.u64();
+    uint64_t n = d.count(4 * 8); // 3 u64 + the deltas prefix
     intervals_.clear();
     intervals_.reserve(size_t(n));
     for (uint64_t i = 0; i < n; i++) {

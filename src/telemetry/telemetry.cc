@@ -17,53 +17,6 @@ namespace
 constexpr uint32_t kBinMagic = 0x54545254u; // 'TRTT'
 constexpr uint32_t kBinVersion = 1;
 
-template <typename T>
-void
-writePod(std::ostream &os, const T &v)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    os.write(reinterpret_cast<const char *>(&v), sizeof(T));
-}
-
-void
-writeSample(std::ostream &os, const TelemSample &s)
-{
-    writePod(os, s.cycle);
-    writePod(os, s.sm);
-    writePod(os, s.raysHeld);
-    writePod(os, s.queuedRays);
-    writePod(os, s.queueCount);
-    for (uint32_t d : s.queueDepth)
-        writePod(os, d);
-    writePod(os, s.treeletSwitches);
-    writePod(os, s.predictLookups);
-    writePod(os, s.predictHits);
-    writePod(os, s.nodeVisits);
-    writePod(os, s.raysCompleted);
-}
-
-void
-writeGpuSample(std::ostream &os, const TelemGpuSample &s)
-{
-    writePod(os, s.cycle);
-    writePod(os, s.bvhL1Accesses);
-    writePod(os, s.bvhL1Misses);
-    writePod(os, s.bvhL2Accesses);
-    writePod(os, s.bvhL2Misses);
-    writePod(os, s.dramReadBytes);
-    writePod(os, s.dramWriteBytes);
-}
-
-void
-writeEvent(std::ostream &os, const TelemEvent &e)
-{
-    writePod(os, e.cycle);
-    writePod(os, e.sm);
-    writePod(os, uint8_t(e.kind));
-    writePod(os, e.a0);
-    writePod(os, e.a1);
-}
-
 } // anonymous namespace
 
 const char *
@@ -191,21 +144,13 @@ Telemetry::writeBinary(const std::string &path) const
     if (!os)
         throw std::runtime_error("telemetry: cannot write " + path);
 
-    writePod(os, kBinMagic);
-    writePod(os, kBinVersion);
-    writePod(os, cfg_.everyCycles);
-    writePod(os, numSms_);
-    writePod(os, uint8_t(cfg_.trace ? 1 : 0));
-
-    writePod(os, uint64_t(samples_.size()));
-    for (const TelemSample &s : samples_)
-        writeSample(os, s);
-    writePod(os, uint64_t(gpuSamples_.size()));
-    for (const TelemGpuSample &s : gpuSamples_)
-        writeGpuSample(os, s);
-    writePod(os, uint64_t(events_.size()));
-    for (const TelemEvent &e : events_)
-        writeEvent(os, e);
+    Serializer s(os);
+    s.u32(kBinMagic);
+    s.u32(kBinVersion);
+    s.u64(cfg_.everyCycles);
+    s.u32(numSms_);
+    s.b(cfg_.trace);
+    saveStreams(s);
 }
 
 void
@@ -395,18 +340,8 @@ Telemetry::recentDump(std::ostream &os, size_t per_sm) const
 }
 
 void
-Telemetry::saveState(Serializer &s) const
+Telemetry::saveStreams(Serializer &s) const
 {
-    s.beginChunk("TELM");
-    s.u32(numSms_);
-    s.u64(nextGpuSampleAt_);
-    for (const TelemChannel &ch : channels_) {
-        // commit() must precede saveState; staged data would vanish.
-        if (!ch.samples.empty() || !ch.events.empty())
-            throw SnapshotError("telemetry: channel not drained before "
-                                "snapshot");
-        s.u64(ch.nextSampleAt);
-    }
     s.u64(samples_.size());
     for (const TelemSample &sm : samples_) {
         s.u64(sm.cycle);
@@ -440,25 +375,16 @@ Telemetry::saveState(Serializer &s) const
         s.u64(e.a0);
         s.u64(e.a1);
     }
-    s.endChunk();
 }
 
 void
-Telemetry::loadState(Deserializer &d)
+Telemetry::loadStreams(Deserializer &d)
 {
-    d.beginChunk("TELM");
-    if (d.u32() != numSms_)
-        throw SnapshotError("telemetry: SM count mismatch");
-    nextGpuSampleAt_ = d.u64();
-    for (TelemChannel &ch : channels_) {
-        ch.nextSampleAt = d.u64();
-        ch.samples.clear();
-        ch.events.clear();
-    }
     samples_.clear();
     gpuSamples_.clear();
     events_.clear();
-    uint64_t n = d.u64();
+    // Each count is bounded by its elements' encoded size.
+    uint64_t n = d.count(6 * 8 + 4 * 4 + sizeof(TelemSample::queueDepth));
     samples_.reserve(n);
     for (uint64_t i = 0; i < n; i++) {
         TelemSample sm;
@@ -476,7 +402,7 @@ Telemetry::loadState(Deserializer &d)
         sm.raysCompleted = d.u64();
         samples_.push_back(sm);
     }
-    n = d.u64();
+    n = d.count(7 * 8);
     gpuSamples_.reserve(n);
     for (uint64_t i = 0; i < n; i++) {
         TelemGpuSample g;
@@ -489,7 +415,7 @@ Telemetry::loadState(Deserializer &d)
         g.dramWriteBytes = d.u64();
         gpuSamples_.push_back(g);
     }
-    n = d.u64();
+    n = d.count(8 + 4 + 1 + 8 + 8);
     events_.reserve(n);
     for (uint64_t i = 0; i < n; i++) {
         TelemEvent e;
@@ -503,6 +429,38 @@ Telemetry::loadState(Deserializer &d)
         e.a1 = d.u64();
         events_.push_back(e);
     }
+}
+
+void
+Telemetry::saveState(Serializer &s) const
+{
+    s.beginChunk("TELM");
+    s.u32(numSms_);
+    s.u64(nextGpuSampleAt_);
+    for (const TelemChannel &ch : channels_) {
+        // commit() must precede saveState; staged data would vanish.
+        if (!ch.samples.empty() || !ch.events.empty())
+            throw SnapshotError("telemetry: channel not drained before "
+                                "snapshot");
+        s.u64(ch.nextSampleAt);
+    }
+    saveStreams(s);
+    s.endChunk();
+}
+
+void
+Telemetry::loadState(Deserializer &d)
+{
+    d.beginChunk("TELM");
+    if (d.u32() != numSms_)
+        throw SnapshotError("telemetry: SM count mismatch");
+    nextGpuSampleAt_ = d.u64();
+    for (TelemChannel &ch : channels_) {
+        ch.nextSampleAt = d.u64();
+        ch.samples.clear();
+        ch.events.clear();
+    }
+    loadStreams(d);
     d.endChunk();
 }
 

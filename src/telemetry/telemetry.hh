@@ -249,6 +249,10 @@ class Telemetry
     void loadState(Deserializer &d);
 
   private:
+    /** The sample, gpu-sample and event streams: the body of both the
+     *  .tsbin file and the TELM snapshot chunk. */
+    void saveStreams(Serializer &s) const;
+    void loadStreams(Deserializer &d);
     void writeBinary(const std::string &path) const;
     void writeJson(const std::string &path) const;
 

@@ -139,8 +139,9 @@ TEST(BvhBuild, LeafSizeRespected)
     Bvh bvh = Bvh::build(tris, cfg);
     for (const auto &n : bvh.nodes())
         for (const auto &c : n.child)
-            if (c.kind == WideChild::Leaf)
+            if (c.kind == WideChild::Leaf) {
                 EXPECT_LE(c.count, 3u);
+            }
 }
 
 TEST(BvhBuild, WideNodesHaveAtMostFourChildren)
@@ -213,9 +214,10 @@ TEST(Treelets, ByteCapRespected)
     for (uint32_t t = 0; t < bvh.treeletCount(); t++) {
         // A treelet may exceed the cap only if it is a single node
         // whose own footprint is larger than the cap.
-        if (bvh.treeletNodeCount(t) > 1)
+        if (bvh.treeletNodeCount(t) > 1) {
             EXPECT_LE(bvh.treeletBytes(t), cfg.treeletMaxBytes)
                 << "treelet " << t;
+        }
     }
 }
 
@@ -272,8 +274,9 @@ TEST(Treelets, ContiguousLayout)
         uint64_t base = bvh.treeletBaseAddr(t);
         uint64_t end = base + bvh.treeletBytes(t);
         // Treelets tile the address space in order.
-        if (t + 1 < bvh.treeletCount())
+        if (t + 1 < bvh.treeletCount()) {
             EXPECT_EQ(end, bvh.treeletBaseAddr(t + 1));
+        }
     }
     // Every node's address lies inside its treelet's range.
     for (uint32_t n = 0; n < bvh.nodes().size(); n++) {
@@ -690,8 +693,9 @@ TEST(Wide8, TreeletInvariantsHold)
     // Byte cap in *compressed* bytes; every node assigned.
     uint64_t sum = 0;
     for (uint32_t t = 0; t < bvh.treeletCount(); t++) {
-        if (bvh.treeletNodeCount(t) > 1)
+        if (bvh.treeletNodeCount(t) > 1) {
             EXPECT_LE(bvh.treeletBytes(t), cfg.treeletMaxBytes);
+        }
         sum += bvh.treeletNodeCount(t);
     }
     EXPECT_EQ(sum, bvh.nodes().size());
@@ -769,8 +773,9 @@ TEST_P(BuilderEdgeCases, LeafOnlyTree)
         HitRecord a = bvh.intersectClosest(r);
         HitRecord b = bruteForce(tris, r);
         ASSERT_EQ(a.hit(), b.hit());
-        if (a.hit())
+        if (a.hit()) {
             ASSERT_FLOAT_EQ(a.t, b.t);
+        }
     }
 }
 

@@ -160,8 +160,9 @@ TEST(Traverser, ParkAndResumeAtBoundaryPreservesResult)
             t.complete();
         }
         ASSERT_EQ(t.hit().hit(), expect.hit());
-        if (expect.hit())
+        if (expect.hit()) {
             ASSERT_FLOAT_EQ(t.hit().t, expect.t);
+        }
         ASSERT_GE(parks, 1);
     }
 }
@@ -265,8 +266,9 @@ TEST(Traverser, Wide8AccessDescriptors)
                 continue;
             }
             auto acc = t.currentAccess();
-            if (!acc.leaf)
+            if (!acc.leaf) {
                 EXPECT_EQ(acc.bytes, kCompressedNode8Bytes);
+            }
             t.complete();
         }
         const auto &c = t.counts();

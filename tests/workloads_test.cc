@@ -15,13 +15,6 @@ namespace trt
 namespace
 {
 
-float
-l1(const Vec3 &a, const Vec3 &b)
-{
-    return std::fabs(a.x - b.x) + std::fabs(a.y - b.y) +
-           std::fabs(a.z - b.z);
-}
-
 RtQueryConfig
 smallConfig(PointDistribution dist = PointDistribution::Clustered)
 {
@@ -129,8 +122,9 @@ TEST(RtQuerySim, RunsThroughGpuAndHitsAgree)
     for (size_t i = 0; i < wl.queries.size(); i++) {
         HitRecord ref = bvh.intersectClosest(wl.queries[i]);
         ASSERT_EQ(rs.primaryHits[i].hit(), ref.hit()) << "query " << i;
-        if (ref.hit())
+        if (ref.hit()) {
             ASSERT_FLOAT_EQ(rs.primaryHits[i].t, ref.t);
+        }
     }
 }
 
@@ -157,8 +151,9 @@ TEST(RtQuerySim, ArchitecturesAgreeOnQueryHits)
     ASSERT_EQ(a.primaryHits.size(), b.primaryHits.size());
     for (size_t i = 0; i < a.primaryHits.size(); i++) {
         ASSERT_EQ(a.primaryHits[i].hit(), b.primaryHits[i].hit());
-        if (a.primaryHits[i].hit())
+        if (a.primaryHits[i].hit()) {
             ASSERT_FLOAT_EQ(a.primaryHits[i].t, b.primaryHits[i].t);
+        }
     }
     // Query rays are single-bounce, so the workload completes.
     EXPECT_EQ(b.rt.raysCompleted, wl.queries.size());

@@ -40,12 +40,12 @@ main(int argc, char **argv)
     for (size_t i : order) {
         const auto &b = getSceneBundle(opt.scenes[i], opt.sceneScale);
         const RunStats &rs = runs[i];
-        miss.push_back(rs.bvhL1MissRate);
+        miss.push_back(rs.bvhL1MissRate());
         simt.push_back(rs.simtEfficiency());
         t.row()
             .cell(opt.scenes[i])
             .cell(double(b.bvhStats.totalBytes) / 1048576.0, 2)
-            .cell(rs.bvhL1MissRate, 3)
+            .cell(rs.bvhL1MissRate(), 3)
             .cell(rs.simtEfficiency(), 3);
     }
     t.row().cell("MEAN").cell("").cell(mean(miss), 3).cell(mean(simt), 3);

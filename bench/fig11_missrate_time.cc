@@ -14,6 +14,17 @@
 #include <iostream>
 
 #include "harness/harness.hh"
+#include "telemetry/telemetry.hh"
+
+namespace
+{
+
+/** Telemetry sampling period of the curves, in simulated cycles. */
+constexpr uint64_t everyCycles = 2048;
+/** Rows of the printed curve. */
+constexpr size_t buckets = 64;
+
+} // anonymous namespace
 
 int
 main(int argc, char **argv)
@@ -35,11 +46,23 @@ main(int argc, char **argv)
     tstat.groupUnderpopulated = false;
     tstat.repackThreshold = 0;
 
-    RunStats rb = runScene(scene, base, opt);
-    RunStats rt = runScene(scene, tstat, opt);
-
-    const auto &sb = rb.bvhMissSeries;
-    const auto &st = rt.bvhMissSeries;
+    // The curves are the gpu-wide BVH L1 samples of each run's
+    // telemetry, at this figure's own sampling period.
+    HarnessOptions topt = opt;
+    topt.telem.enabled = true;
+    topt.telem.everyCycles = everyCycles;
+    topt.telem.outDir = opt.resultsDir + "/fig11_telemetry";
+    auto curve = [&](const GpuConfig &cfg, const std::string &name) {
+        topt.telem.outBase = scene + "_" + name;
+        runScene(scene, cfg, topt);
+        return bvhL1MissSeries(
+            Telemetry::readBinary(topt.telem.outDir + "/" +
+                                  topt.telem.outBase + ".tsbin")
+                .gpuSamples(),
+            buckets);
+    };
+    std::vector<double> sb = curve(base, "baseline");
+    std::vector<double> st = curve(tstat, "treelet_stationary");
     size_t n = std::min(sb.size(), st.size());
 
     Table t({"time_pct", "baseline_miss", "treelet_stationary_miss"});

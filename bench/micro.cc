@@ -156,9 +156,8 @@ class RunCacheBench
         setenv("TRT_CACHE", dir_.c_str(), 1);
         setenv("TRT_RUN_CACHE", "1", 1);
         stats_.cycles = 1;
-        // Representative payload: a 256x256 frame plus a miss series.
+        // Representative payload: a 256x256 frame.
         stats_.framebuffer.resize(256 * 256, Vec3{0.5f, 0.5f, 0.5f});
-        stats_.bvhMissSeries.resize(512, 0.25);
         fp_ = runFingerprint(GpuConfig{}, "MICRO", 1.0f);
         storeCachedRun(fp_, "MICRO", stats_);
     }

@@ -74,7 +74,7 @@ main(int argc, char **argv)
             .cell(r.cycles)
             .cell(double(cb) / double(r.cycles), 3)
             .cell(r.simtEfficiency(), 3)
-            .cell(r.bvhL1MissRate, 3);
+            .cell(r.bvhL1MissRate(), 3);
     }
     t.print(std::cout);
     return 0;

@@ -34,7 +34,7 @@ main(int argc, char **argv)
     RunStats rb = simulate(base, scene, bvh);
     std::cout << "baseline:       " << rb.cycles << " cycles, SIMT "
               << rb.simtEfficiency() << ", BVH L1 miss "
-              << rb.bvhL1MissRate << "\n";
+              << rb.bvhL1MissRate() << "\n";
 
     // 3. Simulate the paper's Virtualized Treelet Queues.
     GpuConfig vtq = GpuConfig::virtualizedTreeletQueues();
@@ -42,7 +42,7 @@ main(int argc, char **argv)
     RunStats rv = simulate(vtq, scene, bvh);
     std::cout << "treelet queues: " << rv.cycles << " cycles, SIMT "
               << rv.simtEfficiency() << ", BVH L1 miss "
-              << rv.bvhL1MissRate << "\n";
+              << rv.bvhL1MissRate() << "\n";
 
     std::cout << "speedup: " << double(rb.cycles) / double(rv.cycles)
               << "x\n";

@@ -62,10 +62,10 @@ main(int argc, char **argv)
 
     std::cout << "baseline GPU:   " << rb.cycles << " cycles, SIMT "
               << rb.simtEfficiency() << ", BVH L1 miss "
-              << rb.bvhL1MissRate << "\n"
+              << rb.bvhL1MissRate() << "\n"
               << "treelet queues: " << rv.cycles << " cycles, SIMT "
               << rv.simtEfficiency() << ", BVH L1 miss "
-              << rv.bvhL1MissRate << "\n"
+              << rv.bvhL1MissRate() << "\n"
               << "query throughput speedup: "
               << double(rb.cycles) / double(rv.cycles) << "x\n";
     return mismatches == 0 ? 0 : 1;

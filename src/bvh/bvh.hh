@@ -108,9 +108,13 @@ struct WideChild
 
     Aabb bounds;
     Kind kind = Invalid;
+    /** Explicit, zeroed padding: BvhIo and bundle files copy nodes
+     *  whole, so no byte may be left uninitialized. */
+    uint8_t pad[3] = {};
     uint32_t index = 0;  //!< Node index (Internal) or first triangle (Leaf).
     uint32_t count = 0;  //!< Triangle count (Leaf only).
 };
+static_assert(sizeof(WideChild) == 36, "WideChild has implicit padding");
 
 /** A wide BVH node: up to kMaxBvhWidth children (slots past the
  *  built width stay Invalid on a 4-wide build). */

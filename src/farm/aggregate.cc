@@ -77,7 +77,7 @@ jobCsvRow(size_t index, const JobRecord &r)
        << "," << fpHex(r.fingerprint) << ","
        << fpHex(RunStatsIo::fingerprint(st)) << "," << st.cycles << ","
        << st.raysTraced << "," << fixed(st.simtEfficiency(), 6) << ","
-       << fixed(st.bvhL1MissRate, 6) << "," << bvh.dramAccesses << ","
+       << fixed(st.bvhL1MissRate(), 6) << "," << bvh.dramAccesses << ","
        << bvh.l2Accesses;
     return ss.str();
 }

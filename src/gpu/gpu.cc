@@ -34,6 +34,16 @@ resolveSimThreads(uint32_t cfg_threads)
 
 } // anonymous namespace
 
+double
+RunStats::bvhL1MissRate() const
+{
+    const MemClassStats &n = memClass(MemClass::BvhNode);
+    const MemClassStats &t = memClass(MemClass::Triangle);
+    uint64_t acc = n.l1Accesses + t.l1Accesses;
+    uint64_t miss = n.l1Misses + t.l1Misses;
+    return acc ? double(miss) / double(acc) : 0.0;
+}
+
 Gpu::Gpu(const GpuConfig &cfg, const Scene &scene, const Bvh &bvh,
          const std::vector<Ray> *primary_rays)
     : cfg_(cfg), scene_(scene), bvh_(bvh), mem_(cfg.mem),
@@ -42,8 +52,6 @@ Gpu::Gpu(const GpuConfig &cfg, const Scene &scene, const Bvh &bvh,
 {
     if (cfg_.mem.numL1s != cfg_.numSms)
         throw std::invalid_argument("mem.numL1s must equal numSms");
-
-    mem_.enableBvhSeries(2048);
 
     if (cfg_.policy == DispatchPolicyKind::Predict && cfg_.predictShared)
         sharedPredict_ = std::make_unique<SharedPredict>(cfg_);
@@ -1085,9 +1093,6 @@ Gpu::finalizeStats()
         run_.rt.accumulate(u->stats());
     for (size_t c = 0; c < run_.mem.size(); c++)
         run_.mem[c] = mem_.classStats(MemClass(c));
-    run_.bvhL1MissRate = mem_.bvhL1MissRate();
-    if (mem_.bvhSeries())
-        run_.bvhMissSeries = mem_.bvhSeries()->resampled(64);
 
     // Drain whatever the final ticks staged, then write the trace
     // files. This is the only write site: a halted (snapshot-resume)

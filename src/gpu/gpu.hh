@@ -44,9 +44,6 @@ struct RunStats
 
     RtStats rt; //!< Aggregated over all RT units.
     std::array<MemClassStats, size_t(MemClass::NumClasses)> mem{};
-    double bvhL1MissRate = 0.0;
-    /** Windowed BVH L1 miss-rate curve (Fig. 11), resampled. */
-    std::vector<double> bvhMissSeries;
 
     uint64_t aluLaneInstrs = 0; //!< Lane-instructions executed on cores.
     uint64_t raysTraced = 0;
@@ -66,6 +63,9 @@ struct RunStats
 
     const MemClassStats &memClass(MemClass c) const
     { return mem[size_t(c)]; }
+
+    /** Whole-run BVH (node + triangle) L1 miss ratio — Fig. 1a. */
+    double bvhL1MissRate() const;
 };
 
 /**

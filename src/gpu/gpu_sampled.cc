@@ -393,7 +393,6 @@ Gpu::beginMeasure()
     samp_.startWork = ctasFinished_;
     samp_.startRounds = aluRounds_;
     samp_.startCounters = sampleCounters();
-    mem_.setBvhSeriesRecording(true);
 }
 
 void
@@ -412,7 +411,6 @@ Gpu::endMeasure()
     samp_.acc.add(std::move(iv));
     samp_.inInterval = false;
     samp_.workEndTarget = 0;
-    mem_.setBvhSeriesRecording(false);
     if (telem_)
         telem_->gpuChannel().event(lastNow_, TelemEventKind::PhaseBegin,
                                    uint64_t(TelemPhase::Detailed));
@@ -480,7 +478,6 @@ Gpu::beginWarmup(uint64_t respreadEnd)
     samp_.phaseEndCycle = samp_.backlogTarget == 0
                               ? respreadEnd
                               : lastNow_ + sampleCfg_.warmupCycles;
-    mem_.setBvhSeriesRecording(false);
 }
 
 bool
@@ -548,13 +545,6 @@ Gpu::applySampleEstimates()
         ss.counterCi95.push_back(est[idx].ci95);
         idx++;
     });
-
-    // Derived quantities recompute from the extrapolated counters.
-    const MemClassStats &bn = run_.memClass(MemClass::BvhNode);
-    const MemClassStats &tr = run_.memClass(MemClass::Triangle);
-    uint64_t acc = bn.l1Accesses + tr.l1Accesses;
-    uint64_t miss = bn.l1Misses + tr.l1Misses;
-    run_.bvhL1MissRate = acc ? double(miss) / double(acc) : 0.0;
 }
 
 // ---- driver ----------------------------------------------------------
@@ -582,8 +572,6 @@ Gpu::runSampled(const SampleConfig &sc)
                 "snapshot: TRT_SAMPLE_* parameters differ from the "
                 "sampled run that captured this snapshot");
         sampleCfg_ = sc;
-        mem_.setBvhSeriesRecording(samp_.phase == SamplePhase::Measure &&
-                                   samp_.inInterval);
     } else {
         if (restored_)
             throw SnapshotError(
@@ -637,7 +625,6 @@ Gpu::runSampled(const SampleConfig &sc)
     // it carries the drain phase the schedule would otherwise miss.
     if (samp_.inInterval && lastNow_ > samp_.intervalStartCycle)
         endMeasure();
-    mem_.setBvhSeriesRecording(true);
 
     finalizeStats();
     applySampleEstimates();

@@ -40,8 +40,6 @@ RunStatsIo::save(Serializer &s, const RunStats &st)
     forEachRunCounter(st, [&](const CounterInfo &, const auto &v) {
         s.pod(v);
     });
-    s.pod(st.bvhL1MissRate);
-    s.vecPod(st.bvhMissSeries);
     s.vecPod(st.primaryHits);
 
     // v2: sampled-run summary (all zeros for full runs).
@@ -73,8 +71,6 @@ RunStatsIo::load(Deserializer &d, RunStats &st)
         forEachRunCounter(st, [&](const CounterInfo &, auto &v) {
             v = d.pod<std::remove_reference_t<decltype(v)>>();
         });
-        st.bvhL1MissRate = d.pod<double>();
-        st.bvhMissSeries = d.vecPod<double>();
         st.primaryHits = d.vecPod<HitRecord>();
 
         st.sampled.enabled = d.b();

@@ -21,8 +21,8 @@ class Deserializer;
 struct RunStatsIo
 {
     /** Bump on any RunStats/RtStats/MemClassStats layout change. */
-    static constexpr uint32_t kVersion = 4; //!< v4: counter-registry
-                                            //!< order, + treeletSwitches
+    static constexpr uint32_t kVersion = 5; //!< v5: counters only (no
+                                            //!< stored miss rate/series)
 
     static void save(std::ostream &os, const RunStats &st);
     static void save(Serializer &s, const RunStats &st);
@@ -35,7 +35,8 @@ struct RunStatsIo
 
     /**
      * FNV-1a over the serialized bytes of @p st: covers every field
-     * save() covers (cycles, framebuffer, all counters, miss series),
+     * save() covers (cycles, framebuffer, all counters, primary hits,
+     * sampling summary),
      * with no padding leakage. Used by the determinism tests and CI to
      * compare runs across TRT_SIM_THREADS settings.
      */

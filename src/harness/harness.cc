@@ -181,13 +181,13 @@ HarnessOptions::apply(GpuConfig cfg) const
         if (!parseDispatchPolicy(policyName, kind))
             throw EnvError("TRT_POLICY: unknown policy '" + policyName +
                            "' (baseline|fifo|prefetch|vtq|reorder|predict)");
-        cfg.policy = kind;
-        // Vtq names the full proposed architecture, so selecting it by
-        // knob pulls in what virtualizedTreeletQueues() would set.
-        if (kind == DispatchPolicyKind::Vtq) {
-            cfg.rayVirtualization = true;
-            cfg.mem.l2ReservedBytes = 64 * 1024;
-        }
+        // The knob selects the policy's canonical configuration: Vtq
+        // pulls in ray virtualization and the reserved L2, and every
+        // other policy drops them.
+        GpuConfig canon = GpuConfig::forPolicy(kind);
+        cfg.policy = canon.policy;
+        cfg.rayVirtualization = canon.rayVirtualization;
+        cfg.mem.l2ReservedBytes = canon.mem.l2ReservedBytes;
     }
     if (reorderBinBits > 0)
         cfg.reorderBinBits = reorderBinBits;

@@ -71,7 +71,8 @@
  *   TRT_POLICY         dispatch policy (DESIGN.md §9): baseline|fifo
  *                      (seed behavior), prefetch (Chou et al. treelet
  *                      prefetcher), vtq (treelet queues; implies ray
- *                      virtualization), reorder (Morton-binned ray
+ *                      virtualization and the reserved L2, which every
+ *                      other policy drops), reorder (Morton-binned ray
  *                      reordering), predict (hash-based path
  *                      prediction). Unset keeps each bench config's
  *                      own policy.
@@ -136,6 +137,7 @@
 #include "core/arch.hh"
 #include "gpu/gpu.hh"
 #include "scene/registry.hh"
+#include "stats/stats.hh"
 #include "stats/table.hh"
 
 namespace trt

@@ -100,7 +100,6 @@ MemorySystem::finishLine(uint64_t now, uint32_t sm, uint64_t line_addr,
                          MemClass cls, bool bypass_l1, bool l1_hit)
 {
     auto &st = stats_[size_t(cls)];
-    bool bvh = cls == MemClass::BvhNode || cls == MemClass::Triangle;
     uint64_t l1_key = (uint64_t(sm) << 48) | (line_addr & 0xffffffffffffull);
 
     if (!bypass_l1) {
@@ -108,14 +107,9 @@ MemorySystem::finishLine(uint64_t now, uint32_t sm, uint64_t line_addr,
         if (l1_hit) {
             // If the line's fill is still in flight, wait for it.
             uint64_t pend = pendingReady(pendingL1_, l1_key, now);
-            uint64_t ready = std::max(now + cfg_.l1HitLatency, pend);
-            if (bvh && bvhSeries_ && bvhSeriesRecording_)
-                bvhSeries_->record(now, 0, 1);
-            return ready;
+            return std::max(now + cfg_.l1HitLatency, pend);
         }
         st.l1Misses++;
-        if (bvh && bvhSeries_ && bvhSeriesRecording_)
-            bvhSeries_->record(now, 1, 1);
     }
 
     // L2 lookup. Ray data goes to the reserved partition when present.
@@ -396,22 +390,6 @@ MemorySystem::totalStats() const
     return t;
 }
 
-double
-MemorySystem::bvhL1MissRate() const
-{
-    const auto &n = stats_[size_t(MemClass::BvhNode)];
-    const auto &t = stats_[size_t(MemClass::Triangle)];
-    uint64_t acc = n.l1Accesses + t.l1Accesses;
-    uint64_t miss = n.l1Misses + t.l1Misses;
-    return acc ? double(miss) / double(acc) : 0.0;
-}
-
-void
-MemorySystem::enableBvhSeries(uint64_t window_cycles)
-{
-    bvhSeries_ = std::make_unique<WindowedSeries>(window_cycles);
-}
-
 void
 MemorySystem::saveState(Serializer &s) const
 {
@@ -438,9 +416,6 @@ MemorySystem::saveState(Serializer &s) const
         s.u64(st.dramWriteBytes);
         s.u64(st.writes);
     }
-    s.b(bvhSeries_ != nullptr);
-    if (bvhSeries_)
-        bvhSeries_->saveState(s);
     s.endChunk();
 }
 
@@ -473,11 +448,6 @@ MemorySystem::loadState(Deserializer &d)
         st.dramWriteBytes = d.u64();
         st.writes = d.u64();
     }
-    bool has_series = d.b();
-    if (has_series != (bvhSeries_ != nullptr))
-        throw SnapshotError("snapshot: BVH series presence mismatch");
-    if (bvhSeries_)
-        bvhSeries_->loadState(d);
     d.endChunk();
 }
 

@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "memsys/cache.hh"
-#include "stats/stats.hh"
+#include "snapshot/serializer.hh"
 
 namespace trt
 {
@@ -230,35 +230,13 @@ class MemorySystem
     /** Sum over all classes. */
     MemClassStats totalStats() const;
 
-    /** Whole-run BVH (node + triangle) L1 miss ratio — Fig. 1a. */
-    double bvhL1MissRate() const;
-
-    /**
-     * Windowed BVH L1 miss series for Fig. 11. Enabled by the GPU model
-     * before simulation starts.
-     */
-    void enableBvhSeries(uint64_t window_cycles);
-    const WindowedSeries *bvhSeries() const { return bvhSeries_.get(); }
-
-    /**
-     * Sampled-simulation phase hook: while false, BVH accesses stop
-     * feeding the Fig. 11 windowed series (the counters themselves keep
-     * counting — the sampler extrapolates those from interval deltas,
-     * but the series has no per-window extrapolation, so warm-up and
-     * drain traffic must not dilute its measured windows). Full runs
-     * never touch this; it defaults to recording. Not serialized: the
-     * sampled driver re-derives it from the restored phase.
-     */
-    void setBvhSeriesRecording(bool on) { bvhSeriesRecording_ = on; }
-
     uint32_t lineBytes() const { return cfg_.lineBytes; }
 
     /**
      * Snapshot hooks (DESIGN.md §7). Must be called outside an issue
      * phase — SmPort tickets are per-phase transients and are not
      * captured. Covers every cache tag store, the MSHR pending-fill
-     * tables, the DRAM bandwidth clock, per-class counters and the
-     * Fig. 11 windowed series.
+     * tables, the DRAM bandwidth clock and the per-class counters.
      */
     void saveState(Serializer &s) const;
     void loadState(Deserializer &d);
@@ -453,8 +431,6 @@ class MemorySystem
     double dramCyclesPerByte_;
 
     std::array<MemClassStats, size_t(MemClass::NumClasses)> stats_{};
-    std::unique_ptr<WindowedSeries> bvhSeries_;
-    bool bvhSeriesRecording_ = true;
 };
 
 } // namespace trt

@@ -30,6 +30,9 @@ enum class MaterialType : uint8_t
 struct Material
 {
     MaterialType type = MaterialType::Lambert;
+    /** Explicit, zeroed padding: bundle files copy materials whole, so
+     *  no byte may be left uninitialized. */
+    uint8_t pad[3] = {};
     Vec3 albedo{0.8f, 0.8f, 0.8f};
     Vec3 emission{0.0f, 0.0f, 0.0f};
     float roughness = 0.0f;  //!< Glossy lobe width in [0, 1].
@@ -72,6 +75,7 @@ struct Material
         return m;
     }
 };
+static_assert(sizeof(Material) == 32, "Material has implicit padding");
 
 } // namespace trt
 

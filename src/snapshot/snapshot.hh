@@ -39,8 +39,8 @@ namespace trt
 /** Bump on any incompatible change to the payload schema. Old
  *  snapshots are rejected (and fall back to a cold run), never
  *  migrated — they are caches, not archives. */
-constexpr uint32_t kSnapshotVersion = 6; //!< v6: one RTUN chunk per RT
-                                         //!< unit + policy-held rays
+constexpr uint32_t kSnapshotVersion = 7; //!< v7: MSYS without the
+                                         //!< Fig. 11 windowed series
 
 /** Thrown out of Gpu::run when SnapshotPolicy::haltAtCycle fires: the
  *  deterministic stand-in for a crash/preemption, used by tests and

@@ -13,8 +13,6 @@
 #include <limits>
 #include <vector>
 
-#include "snapshot/serializer.hh"
-
 namespace trt
 {
 
@@ -64,114 +62,6 @@ struct Ratio
 
     void add(bool in_num) { den++; num += in_num ? 1 : 0; }
     double value() const { return den ? double(num) / double(den) : 0.0; }
-};
-
-/**
- * Windowed time series: aggregates (numerator, denominator) event pairs
- * into fixed-width cycle windows. Used to produce the
- * miss-rate-over-time curves of Figure 11.
- */
-class WindowedSeries
-{
-  public:
-    explicit WindowedSeries(uint64_t window_cycles = 10000)
-        : window_(window_cycles ? window_cycles : 1)
-    {
-        // record() is on the per-access hot path; a power-of-two window
-        // (the common configuration) gets a shift instead of a divide.
-        if ((window_ & (window_ - 1)) == 0) {
-            shift_ = 0;
-            while ((uint64_t(1) << shift_) < window_)
-                shift_++;
-        }
-    }
-
-    /** Record an event pair at @p cycle. */
-    void
-    record(uint64_t cycle, uint64_t num, uint64_t den)
-    {
-        size_t idx = shift_ >= 0 ? size_t(cycle >> shift_)
-                                 : size_t(cycle / window_);
-        if (idx >= numAcc_.size()) {
-            numAcc_.resize(idx + 1, 0);
-            denAcc_.resize(idx + 1, 0);
-        }
-        numAcc_[idx] += num;
-        denAcc_[idx] += den;
-    }
-
-    uint64_t windowCycles() const { return window_; }
-    size_t windows() const { return numAcc_.size(); }
-
-    /** Ratio in window @p idx; 0 when the window had no events. */
-    double
-    ratioAt(size_t idx) const
-    {
-        if (idx >= numAcc_.size() || denAcc_[idx] == 0)
-            return 0.0;
-        return double(numAcc_[idx]) / double(denAcc_[idx]);
-    }
-
-    uint64_t numAt(size_t idx) const
-    { return idx < numAcc_.size() ? numAcc_[idx] : 0; }
-    uint64_t denAt(size_t idx) const
-    { return idx < denAcc_.size() ? denAcc_[idx] : 0; }
-
-    /**
-     * Resample the series to exactly @p buckets points by merging
-     * neighbouring windows, so figures have a fixed number of rows
-     * regardless of run length.
-     */
-    std::vector<double>
-    resampled(size_t buckets) const
-    {
-        std::vector<double> out;
-        if (buckets == 0 || numAcc_.empty())
-            return out;
-        out.reserve(buckets);
-        double per = double(numAcc_.size()) / double(buckets);
-        for (size_t b = 0; b < buckets; b++) {
-            size_t s = static_cast<size_t>(b * per);
-            size_t e = std::max(s + 1, static_cast<size_t>((b + 1) * per));
-            e = std::min(e, numAcc_.size());
-            uint64_t n = 0, d = 0;
-            for (size_t i = s; i < e; i++) {
-                n += numAcc_[i];
-                d += denAcc_[i];
-            }
-            out.push_back(d ? double(n) / double(d) : 0.0);
-        }
-        return out;
-    }
-
-    /** Snapshot hooks; window_/shift_ are ctor-derived and only
-     *  validated, the accumulators round-trip verbatim. */
-    void
-    saveState(Serializer &s) const
-    {
-        s.beginChunk("WSER");
-        s.u64(window_);
-        s.vecPod(numAcc_);
-        s.vecPod(denAcc_);
-        s.endChunk();
-    }
-
-    void
-    loadState(Deserializer &d)
-    {
-        d.beginChunk("WSER");
-        if (d.u64() != window_)
-            throw SnapshotError("snapshot: WindowedSeries window mismatch");
-        numAcc_ = d.vecPod<uint64_t>();
-        denAcc_ = d.vecPod<uint64_t>();
-        d.endChunk();
-    }
-
-  private:
-    uint64_t window_;
-    int shift_ = -1; //!< log2(window_) when it is a power of two.
-    std::vector<uint64_t> numAcc_;
-    std::vector<uint64_t> denAcc_;
 };
 
 /** Geometric mean of a vector of strictly positive values. */

@@ -16,6 +16,8 @@ namespace
 
 constexpr uint32_t kBinMagic = 0x54545254u; // 'TRTT'
 constexpr uint32_t kBinVersion = 1;
+/** readBinary's bound on the SM count, which sizes its channels. */
+constexpr uint32_t kMaxBinSms = 1u << 16;
 
 } // anonymous namespace
 
@@ -151,6 +153,32 @@ Telemetry::writeBinary(const std::string &path) const
     s.u32(numSms_);
     s.b(cfg_.trace);
     saveStreams(s);
+}
+
+Telemetry
+Telemetry::readBinary(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
+        throw std::runtime_error("telemetry: cannot read " + path);
+
+    Deserializer d(is);
+    if (d.u32() != kBinMagic)
+        throw SnapshotError("telemetry: " + path + " is not a .tsbin file");
+    if (d.u32() != kBinVersion)
+        throw SnapshotError("telemetry: " + path + ": unknown version");
+    TelemetryConfig cfg;
+    cfg.enabled = true;
+    cfg.everyCycles = d.u64();
+    uint32_t num_sms = d.u32();
+    cfg.trace = d.b();
+    if (cfg.everyCycles == 0 || num_sms > kMaxBinSms)
+        throw SnapshotError("telemetry: " + path + ": bad header");
+    Telemetry t(cfg, num_sms);
+    t.loadStreams(d);
+    if (!d.atEnd())
+        throw SnapshotError("telemetry: " + path + ": trailing bytes");
+    return t;
 }
 
 void
@@ -462,6 +490,35 @@ Telemetry::loadState(Deserializer &d)
     }
     loadStreams(d);
     d.endChunk();
+}
+
+std::vector<double>
+bvhL1MissSeries(const std::vector<TelemGpuSample> &samples, size_t buckets)
+{
+    std::vector<double> out;
+    if (buckets == 0 || samples.empty())
+        return out;
+    // The first sample is taken at the first commit, so window i runs
+    // from samples[i] to samples[i + 1], and the first window also
+    // takes what came before samples[0]. The counters are cumulative:
+    // windows [s, e) hold samples[e] minus samples[s] (zero for s = 0).
+    const size_t n = std::max<size_t>(samples.size() - 1, 1);
+    out.reserve(buckets);
+    double per = double(n) / double(buckets);
+    for (size_t b = 0; b < buckets; b++) {
+        size_t s = static_cast<size_t>(double(b) * per);
+        size_t e = std::max(s + 1, static_cast<size_t>(double(b + 1) * per));
+        e = std::min(e, n);
+        const TelemGpuSample &last = samples[std::min(e, samples.size() - 1)];
+        uint64_t acc = last.bvhL1Accesses;
+        uint64_t miss = last.bvhL1Misses;
+        if (s > 0) {
+            acc -= samples[s].bvhL1Accesses;
+            miss -= samples[s].bvhL1Misses;
+        }
+        out.push_back(acc ? double(miss) / double(acc) : 0.0);
+    }
+    return out;
 }
 
 } // namespace trt

@@ -239,6 +239,11 @@ class Telemetry
      *  commit. */
     void writeFiles() const;
 
+    /** Read a .tsbin file back: its period, SM count, trace flag and
+     *  the three streams. Throws SnapshotError on malformed bytes and
+     *  std::runtime_error when the file cannot be opened. */
+    static Telemetry readBinary(const std::string &path);
+
     /** Hang diagnostics: the last @p per_sm samples of every SM (plus
      *  the gpu track), most recent last. */
     void recentDump(std::ostream &os, size_t per_sm = 4) const;
@@ -266,6 +271,17 @@ class Telemetry
     std::vector<TelemGpuSample> gpuSamples_;
     std::vector<TelemEvent> events_;
 };
+
+/**
+ * Fig. 11's curve: the BVH L1 miss ratio of each window between
+ * consecutive gpu samples (the first window starts at cycle 0; a
+ * single sample is one window), with neighbouring windows merged into
+ * exactly @p buckets points so the figure has a fixed number of rows
+ * whatever the run length. A bucket without accesses reads 0. Empty
+ * when there are no samples.
+ */
+std::vector<double>
+bvhL1MissSeries(const std::vector<TelemGpuSample> &samples, size_t buckets);
 
 } // namespace trt
 

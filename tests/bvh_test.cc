@@ -20,6 +20,15 @@
 
 namespace trt
 {
+/** gtest prints test parameters into test IDs; without this it dumps
+ *  BvhConfig's raw bytes, padding included, and the IDs change from
+ *  build to build. */
+void
+PrintTo(const BvhConfig &c, std::ostream *os)
+{
+    *os << "width" << c.width << (c.quantizedNodes ? "_quant" : "");
+}
+
 namespace
 {
 

@@ -1,16 +1,17 @@
 /**
  * @file
  * The shared binary codec (DESIGN.md §7) across every format it
- * carries: RunStats blobs, BvhIo, bundle files, snapshot files and the
- * TRTF farm frames and payloads.
+ * carries: RunStats blobs, BvhIo, bundle files, snapshot files,
+ * telemetry .tsbin files and the TRTF farm frames and payloads, plus
+ * the two text inputs (JobSpec text and sweep manifests).
  *
  * Byte pins hard-code FNV-1a hashes of the formats tests/golden_test.cc
  * does not cover (BvhIo at widths 4 and 8, a bundle file, a telemetry
  * .tsbin and a snapshot file of a small run); a codec change must
  * leave them unchanged, or existing caches stop loading.
  *
- * The mutation fuzz takes a valid artifact of each format and feeds
- * its decoder seeded byte flips, truncations, 0xFF over every length
+ * The mutation fuzz takes a valid input of each format and feeds its
+ * decoder seeded byte flips, truncations, 0xFF over every length
  * prefix and a 2^32-entry prefix. Each must be rejected the way the
  * format documents (false, SnapshotError or EnvError) — never by a
  * crash, another exception, a sanitizer report or an allocation the
@@ -36,13 +37,16 @@
 
 #include "bvh/io.hh"
 #include "core/arch.hh"
+#include "farm/manifest.hh"
 #include "farm/protocol.hh"
 #include "geom/hash.hh"
 #include "gpu/gpu.hh"
 #include "gpu/run_stats_io.hh"
 #include "harness/harness.hh"
+#include "scene/registry.hh"
 #include "snapshot/snapshot.hh"
 #include "telemetry/counter_registry.hh"
+#include "telemetry/telemetry.hh"
 #include "util/env.hh"
 
 namespace trt
@@ -121,6 +125,23 @@ bundle(const std::string &name, uint32_t width)
     return getSceneBundle(name, 0.25f, bc);
 }
 
+/** The same bundle built afresh: files in an existing bundle cache may
+ *  come from builds that left the node padding uninitialized. */
+SceneBundle
+freshBundle(const std::string &name, uint32_t width,
+            uint32_t buildThreads = 0)
+{
+    BvhConfig bc;
+    bc.width = int(width);
+    bc.buildThreads = buildThreads;
+    SceneBundle b;
+    b.name = name;
+    b.scene = buildScene(name, 0.25f);
+    b.bvh = Bvh::build(b.scene.triangles, bc);
+    b.bvhStats = b.bvh.stats();
+    return b;
+}
+
 GpuConfig
 smallVtq()
 {
@@ -156,8 +177,6 @@ syntheticStats()
     st.raysTraced = 99;
     st.rt.nodeVisits = 1234;
     st.framebuffer.assign(12, Vec3{0.25f, 0.5f, 0.75f});
-    st.bvhL1MissRate = 0.125;
-    st.bvhMissSeries = {0.5, 0.25, 0.125};
     st.primaryHits.assign(5, HitRecord{});
     st.sampled.enabled = true;
     st.sampled.intervals = 3;
@@ -182,6 +201,25 @@ smallSnapshot()
         }
         ADD_FAILURE() << "run finished before the halt cycle";
         return fs::path();
+    }();
+    return path;
+}
+
+/** The .tsbin a small traced VTQ run writes. */
+const fs::path &
+smallTsbin()
+{
+    static const fs::path path = [] {
+        fs::path dir = tempDir("tsbin");
+        GpuConfig cfg = smallVtq();
+        cfg.telem.enabled = true;
+        cfg.telem.trace = true;
+        cfg.telem.everyCycles = 512;
+        cfg.telem.outDir = dir.string();
+        cfg.telem.outBase = "t";
+        const SceneBundle &b = bundle("CRNVL", 4);
+        simulate(cfg, b.scene, b.bvh);
+        return dir / "t.tsbin";
     }();
     return path;
 }
@@ -212,7 +250,7 @@ prefixOffsets(const std::string &blob, size_t off,
     return at;
 }
 
-/** RunStatsIo v4 field sequence after the 8-byte magic/version. */
+/** RunStatsIo v5 field sequence after the 8-byte magic/version. */
 std::vector<long>
 runStatsSchema(const RunStats &st)
 {
@@ -226,8 +264,7 @@ runStatsSchema(const RunStats &st)
                         sizeof(s.ffRays) + sizeof(s.cyclesCi95));
     return {-long(sizeof(st.cycles)),
             long(sizeof(Vec3)),
-            -(counters + long(sizeof(st.bvhL1MissRate))),
-            long(sizeof(double)),
+            -counters,
             long(sizeof(HitRecord)),
             -sampled,
             long(sizeof(double))};
@@ -244,72 +281,33 @@ const std::vector<long> kBundleSchema = {
     1, -long(sizeof(Vec3)), -long(sizeof(Camera::State)),
     long(sizeof(Material)), long(sizeof(Triangle))};
 
-/** Offset of the BvhIo stream inside bundle file @p b (its materials'
- *  length prefix in @p materials). */
+/** Offset of the BvhIo stream inside bundle file @p b. */
 size_t
-bundleBvhAt(const std::string &b, size_t *materials = nullptr)
+bundleBvhAt(const std::string &b)
 {
     size_t end = 0;
-    auto at = prefixOffsets(b, 8, kBundleSchema, &end);
-    if (materials)
-        *materials = at[1];
+    prefixOffsets(b, 8, kBundleSchema, &end);
     return end;
 }
 
+/** Telemetry .tsbin v1 fields: the 21-byte header, then the sample,
+ *  gpu-sample and event streams at their encoded record sizes. */
+const std::vector<long> kTsbinSchema = {-21, 80, 56, 29};
+
 // ---- byte pins ------------------------------------------------------
 //
-// Hashes recorded before the formats moved onto the shared codec.
-//
-// The BVH builder leaves the padding inside WideChild (after kind)
-// uninitialized, and PODs travel whole, so BvhIo and bundle bytes differ
-// from build to build in those bytes. Their pins hash the bytes with the
-// WideChild and Material (after type) padding zeroed, and a round trip
-// must reproduce every byte.
-
-/** Zero the padding bytes [@p from, @p to) of each of the @p per
- *  records per element of the vector whose length prefix is at @p at. */
-void
-zeroPadding(std::string &b, size_t at, size_t elem, size_t per,
-            size_t from, size_t to)
-{
-    uint64_t n = getU64(b, at) * per;
-    for (uint64_t i = 0; i < n; i++)
-        std::memset(b.data() + at + 8 + i * (elem / per) + from, 0,
-                    to - from);
-}
-
-/** The BvhIo stream starting at @p at, with WideChild padding zeroed. */
-void
-maskBvh(std::string &b, size_t at)
-{
-    zeroPadding(b, at + 16, sizeof(WideNode), kMaxBvhWidth,
-                offsetof(WideChild, kind) + 1, offsetof(WideChild, index));
-}
-
-std::string
-maskedBundle(std::string b)
-{
-    size_t materials = 0;
-    size_t bvh_at = bundleBvhAt(b, &materials);
-    zeroPadding(b, materials, sizeof(Material), 1,
-                offsetof(Material, type) + 1, offsetof(Material, albedo));
-    maskBvh(b, bvh_at);
-    return b;
-}
-
-std::string
-maskedBvh(std::string b)
-{
-    maskBvh(b, 0);
-    return b;
-}
+// Hashes recorded before the formats moved onto the shared codec; the
+// RunStats blob and snapshot pins were recorded again for RunStatsIo v5
+// and snapshot v7, which dropped the stored miss rate and series. BVH
+// and bundle files hash raw: WideChild and Material carry explicit
+// zeroed padding, so the same scene writes the same bytes in every
+// build.
 
 TEST(CodecBytes, BvhIoPinned)
 {
     for (uint32_t width : {4u, 8u}) {
-        const Bvh &bvh = bundle("CRNVL", width).bvh;
-        std::string bytes = bvhBytes(bvh);
-        EXPECT_EQ(hex(fnv(maskedBvh(bytes))),
+        std::string bytes = bvhBytes(freshBundle("CRNVL", width).bvh);
+        EXPECT_EQ(hex(fnv(bytes)),
                   width == 4 ? "0x2da1b17bc2d46356" : "0xd66996cce2e3a64d")
             << "width " << width;
         std::istringstream is(bytes, std::ios::binary);
@@ -319,12 +317,18 @@ TEST(CodecBytes, BvhIoPinned)
     }
 }
 
+TEST(CodecBytes, BvhIoSameAtAnyBuildThreads)
+{
+    EXPECT_TRUE(bvhBytes(freshBundle("CRNVL", 4, 1).bvh) ==
+                bvhBytes(freshBundle("CRNVL", 4, 3).bvh));
+}
+
 TEST(CodecBytes, BundleFilePinned)
 {
     fs::path dir = tempDir("pin_bundle");
-    saveBundleFile(dir / "a.bin", bundle("CRNVL", 4));
+    saveBundleFile(dir / "a.bin", freshBundle("CRNVL", 4));
     std::string bytes = slurp(dir / "a.bin");
-    EXPECT_EQ(hex(fnv(maskedBundle(bytes))), "0x23006cec13c4cb3f");
+    EXPECT_EQ(hex(fnv(bytes)), "0x23006cec13c4cb3f");
     SceneBundle back;
     ASSERT_TRUE(loadBundleFile(dir / "a.bin", back));
     saveBundleFile(dir / "b.bin", back);
@@ -333,27 +337,18 @@ TEST(CodecBytes, BundleFilePinned)
 
 TEST(CodecBytes, TelemetryBinaryPinned)
 {
-    fs::path dir = tempDir("pin_telem");
-    GpuConfig cfg = smallVtq();
-    cfg.telem.enabled = true;
-    cfg.telem.trace = true;
-    cfg.telem.everyCycles = 512;
-    cfg.telem.outDir = dir.string();
-    cfg.telem.outBase = "t";
-    const SceneBundle &b = bundle("CRNVL", 4);
-    simulate(cfg, b.scene, b.bvh);
-    EXPECT_EQ(hex(fnv(slurp(dir / "t.tsbin"))), "0x7f3705d2b4b1271c");
+    EXPECT_EQ(hex(fnv(slurp(smallTsbin()))), "0x7f3705d2b4b1271c");
 }
 
 TEST(CodecBytes, SnapshotFilePinned)
 {
-    EXPECT_EQ(hex(fnv(slurp(smallSnapshot()))), "0x6ea465975367b36d");
+    EXPECT_EQ(hex(fnv(slurp(smallSnapshot()))), "0xc125068f28a61bd7");
 }
 
 TEST(CodecBytes, RunStatsBlobPinned)
 {
     EXPECT_EQ(hex(fnv(statsBytes(syntheticStats()))),
-              "0x031452caaa5b8c97");
+              "0xe419a26434ae04c9");
 }
 
 // ---- mutation fuzz --------------------------------------------------
@@ -511,6 +506,27 @@ TEST(CodecFuzz, BundleFile)
     putU32(b, tri0 + offsetof(Triangle, material),
            uint32_t(src.scene.materials.size()));
     EXPECT_EQ(decode(b), Verdict::Rejected) << "material index";
+}
+
+TEST(CodecFuzz, TelemetryBinary)
+{
+    std::string valid = slurp(smallTsbin());
+    fs::path p = tempDir("fuzz_tsbin") / "t.tsbin";
+    Decoder decode = [&](const std::string &b) {
+        spit(p, b);
+        try {
+            Telemetry::readBinary(p.string());
+            return Verdict::Accepted;
+        } catch (const SnapshotError &) {
+            return Verdict::Rejected;
+        }
+    };
+    size_t end = 0;
+    auto prefixes = prefixOffsets(valid, 0, kTsbinSchema, &end);
+    ASSERT_EQ(end, valid.size());
+    fuzz(".tsbin", valid, decode, prefixes, valid.size(), 25);
+    for (size_t at : prefixes)
+        expectOversizedRejected(".tsbin", valid, decode, at);
 }
 
 /** Rewrite a snapshot file's payload and header CRCs to match its
@@ -726,6 +742,40 @@ TEST(CodecFuzz, FarmSmallPayloads)
         EXPECT_THROW(decodeError(std::string(len, '\x01'), idx, msg),
                      EnvError);
     }
+}
+
+// ---- text inputs ----------------------------------------------------
+
+TEST(CodecFuzz, JobSpecText)
+{
+    Decoder decode = [](const std::string &b) {
+        try {
+            JobSpec::deserialize(b);
+            return Verdict::Accepted;
+        } catch (const EnvError &) {
+            return Verdict::Rejected;
+        }
+    };
+    // Every key but the scene is optional, so only a cut before the
+    // first scene character must be rejected.
+    fuzz("JobSpec text", smallJob().serialize(), decode, {},
+         std::string("scene=").size() + 1, 70, 256);
+}
+
+TEST(CodecFuzz, SweepManifest)
+{
+    std::string valid = slurp(fs::path(TRT_MANIFEST_DIR) / "ci_smoke.json");
+    ASSERT_FALSE(valid.empty());
+    Decoder decode = [](const std::string &b) {
+        try {
+            Manifest::parse(b);
+            return Verdict::Accepted;
+        } catch (const EnvError &) {
+            return Verdict::Rejected;
+        }
+    };
+    // Any cut before the closing brace leaves the document unfinished.
+    fuzz("ci_smoke.json", valid, decode, {}, valid.rfind('}') + 1, 80, 256);
 }
 
 } // namespace

@@ -53,7 +53,6 @@ expectIdentical(const RunStats &serial, const RunStats &parallel,
     // about where the divergence started.
     EXPECT_EQ(serial.cycles, parallel.cycles) << what;
     EXPECT_EQ(serial.framebuffer, parallel.framebuffer) << what;
-    EXPECT_EQ(serial.bvhMissSeries, parallel.bvhMissSeries) << what;
     EXPECT_EQ(serial.rt.raysCompleted, parallel.rt.raysCompleted) << what;
     EXPECT_EQ(serial.rt.activeLaneCycles, parallel.rt.activeLaneCycles)
         << what;

@@ -6,7 +6,8 @@
  *
  * Refactors of the RT-unit pipeline must leave every value unchanged;
  * a mismatch means simulated timing moved. Only a deliberate change of
- * the model may update the table, and it then names the change.
+ * the model, or of the RunStatsIo bytes the values hash, may update the
+ * table, and it then names the change.
  */
 
 #include <gtest/gtest.h>
@@ -71,30 +72,30 @@ struct PolicyCase
 };
 
 constexpr PolicyCase kPolicyCases[] = {
-    {"CRNVL", 4, "fifo", false, 0x70d5d9627baa8fc8},
-    {"CRNVL", 4, "prefetch", false, 0x76c7284e1bc8fd7e},
-    {"CRNVL", 4, "vtq", false, 0x5bfe2811c06a8fd0},
-    {"CRNVL", 4, "reorder", false, 0xfeedc709867f031c},
-    {"CRNVL", 4, "predict", false, 0xfd053a9fbfa4aad6},
-    {"CRNVL", 4, "predict", true, 0xadc4caf9c0c5caa2},
-    {"CRNVL", 8, "fifo", false, 0x294fa7708ef3ac5b},
-    {"CRNVL", 8, "prefetch", false, 0x4d0ec2ed8ffc79f1},
-    {"CRNVL", 8, "vtq", false, 0xfb26fdf95b2a4aea},
-    {"CRNVL", 8, "reorder", false, 0x32a94230b54cbf41},
-    {"CRNVL", 8, "predict", false, 0x5d3424598824735c},
-    {"CRNVL", 8, "predict", true, 0x9d10f6c82c574dde},
-    {"BUNNY", 4, "fifo", false, 0x6a0a45ffb600c7dd},
-    {"BUNNY", 4, "prefetch", false, 0xb551fe5f6ce56d38},
-    {"BUNNY", 4, "vtq", false, 0x917fe859c63bee7e},
-    {"BUNNY", 4, "reorder", false, 0xec8d51fc52df3fa2},
-    {"BUNNY", 4, "predict", false, 0xc672856933338ab0},
-    {"BUNNY", 4, "predict", true, 0xf10b3ba336dd7010},
-    {"BUNNY", 8, "fifo", false, 0x44d26382610d701f},
-    {"BUNNY", 8, "prefetch", false, 0xf6b5679bf2c821db},
-    {"BUNNY", 8, "vtq", false, 0xde17a376b5071ced},
-    {"BUNNY", 8, "reorder", false, 0x696ebff3a5e1c9ca},
-    {"BUNNY", 8, "predict", false, 0x9022f8dc40e24cfd},
-    {"BUNNY", 8, "predict", true, 0x98aae63f7872be1b},
+    {"CRNVL", 4, "fifo", false, 0x2e00b0b3e1be092e},
+    {"CRNVL", 4, "prefetch", false, 0xdf3a03290e6b2b24},
+    {"CRNVL", 4, "vtq", false, 0xfcf0aa8371a226e3},
+    {"CRNVL", 4, "reorder", false, 0x5d2938ae12d4d621},
+    {"CRNVL", 4, "predict", false, 0xc9315e487ad219b8},
+    {"CRNVL", 4, "predict", true, 0x64553368992fbca8},
+    {"CRNVL", 8, "fifo", false, 0x2e2a98a52767c9e3},
+    {"CRNVL", 8, "prefetch", false, 0xef0f7367c440b6b9},
+    {"CRNVL", 8, "vtq", false, 0xc6017bd24eb6887c},
+    {"CRNVL", 8, "reorder", false, 0xbb63c6fd6e076224},
+    {"CRNVL", 8, "predict", false, 0xf3e4fbf36fc3675e},
+    {"CRNVL", 8, "predict", true, 0x762e45337664fde4},
+    {"BUNNY", 4, "fifo", false, 0xadaff8b5313d15ae},
+    {"BUNNY", 4, "prefetch", false, 0x3e7f01097af75aca},
+    {"BUNNY", 4, "vtq", false, 0xb9b965a3cfdd52e5},
+    {"BUNNY", 4, "reorder", false, 0xc1c65818b2ea3de1},
+    {"BUNNY", 4, "predict", false, 0x1a9ed4a6d24be0f9},
+    {"BUNNY", 4, "predict", true, 0xaa41ee9fd5db5096},
+    {"BUNNY", 8, "fifo", false, 0x25e3a3c5cd43887e},
+    {"BUNNY", 8, "prefetch", false, 0x80f7a5d7ab124262},
+    {"BUNNY", 8, "vtq", false, 0x9ad26714c03fb075},
+    {"BUNNY", 8, "reorder", false, 0xcc97b561468a0bd7},
+    {"BUNNY", 8, "predict", false, 0x64170fd9730d2161},
+    {"BUNNY", 8, "predict", true, 0x09b96c5b331efae5},
 };
 
 TEST(GoldenFingerprints, PoliciesAtBothWidths)
@@ -138,20 +139,20 @@ TEST(GoldenFingerprints, VtqVariants)
     const Variant variants[] = {
         {"no_grouping",
          [](GpuConfig &c) { c.groupUnderpopulated = false; },
-         0x8bd706f4e25290f4},
+         0xd278e5b0d0b46b61},
         {"no_repack", [](GpuConfig &c) { c.repackThreshold = 0; },
-         0xe312b1c974ddc09c},
+         0x6626c2fd3517287e},
         {"skip_treelet_phase",
          [](GpuConfig &c) { c.skipTreeletPhase = true; },
-         0x319ac7efc6ede071},
+         0x17f83a5811394dfa},
         {"no_preload", [](GpuConfig &c) { c.preloadEnabled = false; },
-         0xd6640752dfeddd17},
+         0xc782b843de97d2d1},
         {"no_virtualization",
          [](GpuConfig &c) { c.rayVirtualization = false; },
-         0x2f07724b4ca222fc},
+         0xc4f25b55c4409663},
         {"free_virtualization",
          [](GpuConfig &c) { c.virtualizationFree = true; },
-         0xdf3963b037cc5ad5},
+         0x361b7f9f6b30a908},
     };
     for (const Variant &v : variants) {
         GpuConfig c = tiny();
@@ -181,10 +182,10 @@ TEST(GoldenFingerprints, RayQueries)
     };
     expectGolden(simulateRays(small(GpuConfig::treeletPrefetch()),
                               wl.scene, bvh, wl.queries),
-                 0x54b4c8e48ea2a92f, "queries prefetch");
+                 0x0c6cffc4608acbba, "queries prefetch");
     expectGolden(simulateRays(small(GpuConfig::virtualizedTreeletQueues()),
                               wl.scene, bvh, wl.queries),
-                 0xc76161365f50a6d8, "queries vtq");
+                 0x84e854e599ce5c4b, "queries vtq");
 }
 
 TEST(GoldenFingerprints, SampledRuns)
@@ -196,8 +197,8 @@ TEST(GoldenFingerprints, SampledRuns)
     sc.warmupCycles = 2000;
     const SceneBundle &b = bundle("CRNVL", 4);
     for (const auto &[config, want] :
-         {std::pair<const char *, uint64_t>{"fifo", 0xb778b368c5650e49},
-          std::pair<const char *, uint64_t>{"vtq", 0xe42ea9f6e889d1dd}}) {
+         {std::pair<const char *, uint64_t>{"fifo", 0xb4e70fb6606dae62},
+          std::pair<const char *, uint64_t>{"vtq", 0x1b1cca92c88ae912}}) {
         RunStats st = simulateSampled(policyConfig(config), b.scene, b.bvh,
                                       sc);
         ASSERT_TRUE(st.sampled.enabled) << config;

@@ -199,9 +199,21 @@ TEST(BaselineSim, BvhAccessesRecorded)
     RunStats rs = Gpu(cfg, f.scene, f.bvh).run();
     const auto &bvh_mem = rs.memClass(MemClass::BvhNode);
     EXPECT_GT(bvh_mem.l1Accesses, 0u);
-    EXPECT_GT(rs.bvhL1MissRate, 0.0);
-    EXPECT_LT(rs.bvhL1MissRate, 1.0);
-    EXPECT_FALSE(rs.bvhMissSeries.empty());
+    EXPECT_GT(rs.bvhL1MissRate(), 0.0);
+    EXPECT_LT(rs.bvhL1MissRate(), 1.0);
+}
+
+TEST(RunStats, BvhL1MissRateOverNodeAndTriangleClasses)
+{
+    RunStats rs;
+    EXPECT_EQ(rs.bvhL1MissRate(), 0.0); // no accesses
+    rs.mem[size_t(MemClass::BvhNode)].l1Accesses = 6;
+    rs.mem[size_t(MemClass::BvhNode)].l1Misses = 1;
+    rs.mem[size_t(MemClass::Triangle)].l1Accesses = 2;
+    rs.mem[size_t(MemClass::Triangle)].l1Misses = 1;
+    rs.mem[size_t(MemClass::Shader)].l1Accesses = 5; // not BVH traffic
+    rs.mem[size_t(MemClass::Shader)].l1Misses = 5;
+    EXPECT_DOUBLE_EQ(rs.bvhL1MissRate(), 0.25);
 }
 
 TEST(BaselineSim, RunTwiceThrows)

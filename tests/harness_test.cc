@@ -178,6 +178,23 @@ TEST(HarnessOptions, ApplySetsResolution)
     EXPECT_EQ(cfg.imageHeight, 48u);
 }
 
+TEST(HarnessOptions, PolicyOverrideTakesCanonicalConfig)
+{
+    // TRT_POLICY=fifo on a VTQ config drops ray virtualization and the
+    // reserved L2 along with the treelet queues.
+    HarnessOptions opt;
+    opt.resolution = 48;
+    opt.policyName = "fifo";
+    GpuConfig fifo = GpuConfig::forPolicy(DispatchPolicyKind::Fifo);
+    fifo.imageWidth = fifo.imageHeight = 48;
+    EXPECT_EQ(opt.apply(GpuConfig::virtualizedTreeletQueues()).fingerprint(),
+              fifo.fingerprint());
+    opt.policyName = "vtq";
+    GpuConfig vtq = GpuConfig::forPolicy(DispatchPolicyKind::Vtq);
+    vtq.imageWidth = vtq.imageHeight = 48;
+    EXPECT_EQ(opt.apply(GpuConfig{}).fingerprint(), vtq.fingerprint());
+}
+
 TEST(SceneBundle, CachedByNameAndScale)
 {
     const SceneBundle &a = getSceneBundle("BUNNY", 0.03f);
@@ -260,8 +277,6 @@ syntheticStats()
     st.rt.prefetchIssues = 77;
     st.mem[0].l1Accesses = 88;
     st.mem[1].dramReadBytes = 99;
-    st.bvhL1MissRate = 0.125;
-    st.bvhMissSeries = {0.5, 0.25, 0.125};
     st.aluLaneInstrs = 101;
     st.raysTraced = 102;
     st.ctasLaunched = 103;
@@ -293,8 +308,6 @@ expectStatsEqual(const RunStats &a, const RunStats &b)
         EXPECT_EQ(a.mem[c].l1Misses, b.mem[c].l1Misses) << c;
         EXPECT_EQ(a.mem[c].dramReadBytes, b.mem[c].dramReadBytes) << c;
     }
-    EXPECT_EQ(a.bvhL1MissRate, b.bvhL1MissRate);
-    EXPECT_EQ(a.bvhMissSeries, b.bvhMissSeries);
     EXPECT_EQ(a.aluLaneInstrs, b.aluLaneInstrs);
     EXPECT_EQ(a.raysTraced, b.raysTraced);
     EXPECT_EQ(a.ctasLaunched, b.ctasLaunched);

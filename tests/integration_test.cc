@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "analytic/analytic.hh"
 #include "core/arch.hh"
 #include "energy/energy.hh"
 #include "harness/harness.hh"
 #include "scene/registry.hh"
+#include "telemetry/telemetry.hh"
 
 namespace trt
 {
@@ -92,11 +95,26 @@ TEST(Integration, TreeletPhaseLowersMissRateWhileActive)
     GpuConfig tstat = sized(GpuConfig::virtualizedTreeletQueues());
     tstat.groupUnderpopulated = false;
     tstat.repackThreshold = 0;
-    RunStats rt = cachedRun("CRNVL", "tstat", tstat);
-    RunStats rb = cachedRun("CRNVL", "base", sized(GpuConfig{}));
+    // The curves come from telemetry, sampled as bench_fig11 does.
+    auto curve = [](GpuConfig cfg, const std::string &name) {
+        cfg.telem.enabled = true;
+        cfg.telem.everyCycles = 2048;
+        cfg.telem.outDir = (std::filesystem::path(::testing::TempDir()) /
+                            "trt_integration_fig11")
+                               .string();
+        cfg.telem.outBase = name;
+        const SceneBundle &b = bundle();
+        simulate(cfg, b.scene, b.bvh);
+        return bvhL1MissSeries(
+            Telemetry::readBinary(cfg.telem.outDir + "/" + name + ".tsbin")
+                .gpuSamples(),
+            64);
+    };
+    std::vector<double> rt = curve(tstat, "tstat");
+    std::vector<double> rb = curve(sized(GpuConfig{}), "base");
 
-    ASSERT_GE(rt.bvhMissSeries.size(), 8u);
-    ASSERT_GE(rb.bvhMissSeries.size(), 8u);
+    ASSERT_GE(rt.size(), 8u);
+    ASSERT_GE(rb.size(), 8u);
     // The populated-queue phase is brief in cycles at test scale, so
     // compare the *deepest dip* in the first half against the
     // baseline's own minimum: treelet-stationary mode must reach a
@@ -108,8 +126,7 @@ TEST(Integration, TreeletPhaseLowersMissRateWhileActive)
                 m = std::min(m, s[i]);
         return m;
     };
-    EXPECT_LT(min_first_half(rt.bvhMissSeries),
-              min_first_half(rb.bvhMissSeries));
+    EXPECT_LT(min_first_half(rt), min_first_half(rb));
 }
 
 TEST(Integration, GroupingBeatsNaive)

@@ -299,18 +299,19 @@ TEST(MemorySystem, ClassAccountingIsSeparate)
     EXPECT_EQ(mem.totalStats().l1Accesses, 3u);
 }
 
-TEST(MemorySystem, BvhMissRateAndSeries)
+TEST(MemorySystem, BvhMissCounters)
 {
     MemConfig mc = smallConfig();
     MemorySystem mem(mc);
-    mem.enableBvhSeries(100);
-    mem.read(0, 0, 0xc000, 64, MemClass::BvhNode); // miss
-    uint64_t warm = 5000;
-    mem.read(warm, 0, 0xc000, 64, MemClass::BvhNode); // hit
-    EXPECT_DOUBLE_EQ(mem.bvhL1MissRate(), 0.5);
-    ASSERT_NE(mem.bvhSeries(), nullptr);
-    EXPECT_DOUBLE_EQ(mem.bvhSeries()->ratioAt(0), 1.0);
-    EXPECT_DOUBLE_EQ(mem.bvhSeries()->ratioAt(warm / 100), 0.0);
+    mem.read(0, 0, 0xc000, 64, MemClass::BvhNode);    // miss
+    mem.read(5000, 0, 0xc000, 64, MemClass::BvhNode); // hit
+    mem.read(5000, 0, 0xd000, 64, MemClass::Triangle); // miss
+    const MemClassStats &n = mem.classStats(MemClass::BvhNode);
+    const MemClassStats &t = mem.classStats(MemClass::Triangle);
+    EXPECT_EQ(n.l1Accesses, 2u);
+    EXPECT_EQ(n.l1Misses, 1u);
+    EXPECT_EQ(t.l1Accesses, 1u);
+    EXPECT_EQ(t.l1Misses, 1u);
 }
 
 TEST(MemorySystem, PortImmediateMatchesPlainRead)

@@ -229,7 +229,6 @@ expectIdentical(const RunStats &a, const RunStats &b,
     EXPECT_EQ(a.aluLaneInstrs, b.aluLaneInstrs) << what;
     EXPECT_EQ(a.ctaSaves, b.ctaSaves) << what;
     EXPECT_EQ(a.ctaRestores, b.ctaRestores) << what;
-    EXPECT_EQ(a.bvhMissSeries, b.bvhMissSeries) << what;
     EXPECT_EQ(RunStatsIo::fingerprint(a), RunStatsIo::fingerprint(b))
         << what;
 }

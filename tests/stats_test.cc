@@ -51,53 +51,6 @@ TEST(Ratio, Basics)
     EXPECT_EQ(r.den, 4u);
 }
 
-TEST(WindowedSeries, WindowAssignment)
-{
-    WindowedSeries s(100);
-    s.record(0, 1, 2);
-    s.record(99, 1, 2);
-    s.record(100, 3, 3);
-    EXPECT_EQ(s.windows(), 2u);
-    EXPECT_DOUBLE_EQ(s.ratioAt(0), 0.5);
-    EXPECT_DOUBLE_EQ(s.ratioAt(1), 1.0);
-    EXPECT_DOUBLE_EQ(s.ratioAt(5), 0.0); // out of range
-    EXPECT_EQ(s.numAt(0), 2u);
-    EXPECT_EQ(s.denAt(0), 4u);
-}
-
-TEST(WindowedSeries, ZeroWindowClamped)
-{
-    WindowedSeries s(0);
-    EXPECT_EQ(s.windowCycles(), 1u);
-    s.record(3, 1, 1);
-    EXPECT_EQ(s.windows(), 4u);
-}
-
-TEST(WindowedSeries, ResampleMergesWindows)
-{
-    WindowedSeries s(10);
-    // 8 windows with denominator 8 and numerator = window index.
-    for (uint64_t w = 0; w < 8; w++)
-        s.record(w * 10, w, 8);
-    auto r = s.resampled(4);
-    ASSERT_EQ(r.size(), 4u);
-    EXPECT_DOUBLE_EQ(r[0], 1.0 / 16.0);
-    EXPECT_DOUBLE_EQ(r[1], 5.0 / 16.0);
-    EXPECT_DOUBLE_EQ(r[2], 9.0 / 16.0);
-    EXPECT_DOUBLE_EQ(r[3], 13.0 / 16.0);
-}
-
-TEST(WindowedSeries, ResampleEdgeCases)
-{
-    WindowedSeries s(10);
-    EXPECT_TRUE(s.resampled(4).empty()); // no data
-    s.record(5, 1, 2);
-    EXPECT_TRUE(s.resampled(0).empty());
-    auto r = s.resampled(3); // more buckets than windows
-    ASSERT_EQ(r.size(), 3u);
-    EXPECT_DOUBLE_EQ(r[0], 0.5);
-}
-
 TEST(Geomean, Values)
 {
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);

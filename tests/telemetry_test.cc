@@ -312,5 +312,99 @@ TEST(Telemetry, StateRoundTripsThroughSnapshot)
     EXPECT_EQ(back.channel(1).nextSampleAt, t.channel(1).nextSampleAt);
 }
 
+TEST(Telemetry, ReadBinaryReturnsWrittenStreams)
+{
+    fs::path dir = telemDir("read_binary");
+    TelemetryConfig tc;
+    tc.enabled = true;
+    tc.trace = true;
+    tc.everyCycles = 64;
+    tc.outDir = dir.string();
+    tc.outBase = "rb";
+    Telemetry t(tc, 2);
+    t.channel(1).startSample(64).nodeVisits = 7;
+    t.channel(0).event(70, TelemEventKind::QueueDrained, 3, 4);
+    TelemGpuSample g;
+    g.cycle = 64;
+    g.bvhL1Accesses = 10;
+    g.bvhL1Misses = 4;
+    t.pushGpuSample(g);
+    t.commit();
+    t.writeFiles();
+
+    Telemetry back = Telemetry::readBinary(t.binPath());
+    EXPECT_EQ(back.config().everyCycles, 64u);
+    EXPECT_TRUE(back.config().trace);
+    EXPECT_EQ(back.numSms(), 2u);
+    ASSERT_EQ(back.samples().size(), 1u);
+    EXPECT_EQ(back.samples()[0].sm, 1u);
+    EXPECT_EQ(back.samples()[0].nodeVisits, 7u);
+    ASSERT_EQ(back.gpuSamples().size(), 1u);
+    EXPECT_EQ(back.gpuSamples()[0].bvhL1Misses, 4u);
+    ASSERT_EQ(back.events().size(), 1u);
+    EXPECT_EQ(back.events()[0].kind, TelemEventKind::QueueDrained);
+    EXPECT_EQ(back.events()[0].a1, 4u);
+
+    EXPECT_THROW(Telemetry::readBinary((dir / "absent.tsbin").string()),
+                 std::runtime_error);
+    // One byte short: the decoder runs out of input.
+    std::string bytes = slurp(t.binPath());
+    std::ofstream((dir / "short.tsbin").string(), std::ios::binary)
+        << bytes.substr(0, bytes.size() - 1);
+    EXPECT_THROW(Telemetry::readBinary((dir / "short.tsbin").string()),
+                 SnapshotError);
+}
+
+/** Cumulative gpu samples, the first at cycle 0, whose window i has
+ *  @p num[i] misses out of @p den[i] BVH L1 accesses. */
+std::vector<TelemGpuSample>
+cumulative(const std::vector<uint64_t> &num,
+           const std::vector<uint64_t> &den)
+{
+    std::vector<TelemGpuSample> out(1);
+    TelemGpuSample g;
+    for (size_t i = 0; i < num.size(); i++) {
+        g.cycle += 10;
+        g.bvhL1Misses += num[i];
+        g.bvhL1Accesses += den[i];
+        out.push_back(g);
+    }
+    return out;
+}
+
+TEST(Telemetry, BvhL1MissSeriesMergesWindows)
+{
+    // 8 windows with 8 accesses each and misses = window index.
+    auto r = bvhL1MissSeries(
+        cumulative({0, 1, 2, 3, 4, 5, 6, 7}, {8, 8, 8, 8, 8, 8, 8, 8}), 4);
+    ASSERT_EQ(r.size(), 4u);
+    EXPECT_DOUBLE_EQ(r[0], 1.0 / 16.0);
+    EXPECT_DOUBLE_EQ(r[1], 5.0 / 16.0);
+    EXPECT_DOUBLE_EQ(r[2], 9.0 / 16.0);
+    EXPECT_DOUBLE_EQ(r[3], 13.0 / 16.0);
+}
+
+TEST(Telemetry, BvhL1MissSeriesEdgeCases)
+{
+    EXPECT_TRUE(bvhL1MissSeries({}, 4).empty()); // no samples
+    TelemGpuSample g;
+    g.bvhL1Accesses = 4;
+    g.bvhL1Misses = 1;
+    auto single = bvhL1MissSeries({g}, 1); // one sample, one window
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_DOUBLE_EQ(single[0], 0.25);
+    auto one = cumulative({1}, {2});
+    EXPECT_TRUE(bvhL1MissSeries(one, 0).empty());
+    auto r = bvhL1MissSeries(one, 3); // more buckets than windows
+    ASSERT_EQ(r.size(), 3u);
+    EXPECT_DOUBLE_EQ(r[0], 0.5);
+    EXPECT_DOUBLE_EQ(r[2], 0.5);
+    // A window without accesses reads 0.
+    r = bvhL1MissSeries(cumulative({1, 0}, {4, 0}), 2);
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_DOUBLE_EQ(r[0], 0.25);
+    EXPECT_DOUBLE_EQ(r[1], 0.0);
+}
+
 } // anonymous namespace
 } // namespace trt

@@ -58,7 +58,7 @@ main(int argc, char **argv)
     // baseline at the same resolution).
     if (!std::getenv("TRT_SCENES"))
         opt.scenes = {"BUNNY", "CRNVL", "FRST"};
-    opt.resolution = std::min(opt.resolution, 128u);
+    opt.job.resolution = std::min(opt.job.resolution, 128u);
     printBenchHeader("Ablation: VTQ design choices", opt);
 
     struct Variant
@@ -156,8 +156,7 @@ main(int argc, char **argv)
             if (!v.bvhCfg) {
                 cycles = runScene(name, v.cfg, opt).cycles;
             } else {
-                const SceneBundle &b = getSceneBundle(name,
-                                                      opt.sceneScale);
+                const SceneBundle &b = opt.bundle(name);
                 Bvh alt = Bvh::build(b.scene.triangles, *v.bvhCfg);
                 cycles = simulate(v.cfg, b.scene, alt).cycles;
             }
@@ -205,7 +204,7 @@ main(int argc, char **argv)
             parallelForScenes(opt, [&](size_t i,
                                        const std::string &name) {
                 const SceneBundle &b =
-                    getSceneBundle(name, opt.sceneScale, lv.bvhCfg);
+                    getSceneBundle(name, opt.job.scale, lv.bvhCfg);
                 GpuConfig cfg = use_vtq ? vtq()
                                         : opt.apply(GpuConfig{});
                 cfg.simThreads = opt.effectiveSimThreads();

@@ -38,8 +38,8 @@ main(int argc, char **argv)
     // Scale the workload with the harness resolution so TRT_FAST works
     // (quarter of the frame's ray count keeps the sweep to minutes).
     RtQueryConfig qc;
-    qc.numQueries = (opt.resolution / 2) * (opt.resolution / 2);
-    qc.numPoints = uint32_t(100000.0f * opt.sceneScale);
+    qc.numQueries = (opt.job.resolution / 2) * (opt.job.resolution / 2);
+    qc.numPoints = uint32_t(100000.0f * opt.job.scale);
 
     Table t({"distribution", "points", "queries", "bvh_mb",
              "baseline_cycles", "prefetch_speedup", "vtq_speedup",

@@ -29,16 +29,14 @@ main(int argc, char **argv)
     for (size_t i = 0; i < order.size(); i++)
         order[i] = i;
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return getSceneBundle(opt.scenes[a], opt.sceneScale)
-                   .bvhStats.totalBytes <
-               getSceneBundle(opt.scenes[b], opt.sceneScale)
-                   .bvhStats.totalBytes;
+        return opt.bundle(opt.scenes[a]).bvhStats.totalBytes <
+               opt.bundle(opt.scenes[b]).bvhStats.totalBytes;
     });
 
     Table t({"scene", "bvh_mb", "l1_bvh_miss_rate", "simt_efficiency"});
     std::vector<double> miss, simt;
     for (size_t i : order) {
-        const auto &b = getSceneBundle(opt.scenes[i], opt.sceneScale);
+        const auto &b = opt.bundle(opt.scenes[i]);
         const RunStats &rs = runs[i];
         miss.push_back(rs.bvhL1MissRate());
         simt.push_back(rs.simtEfficiency());

@@ -32,10 +32,10 @@ main(int argc, char **argv)
 
     std::vector<std::vector<double>> rows(opt.scenes.size());
     parallelForScenes(opt, [&](size_t i, const std::string &name) {
-        const SceneBundle &sb = getSceneBundle(name, opt.sceneScale);
+        const SceneBundle &sb = opt.bundle(name);
         auto traces =
-            recordTraces(sb.scene, sb.bvh, opt.resolution, opt.resolution,
-                         GpuConfig{}.maxBounces,
+            recordTraces(sb.scene, sb.bvh, opt.job.resolution,
+                         opt.job.resolution, GpuConfig{}.maxBounces,
                          GpuConfig{}.contributionCutoff, kMaxRays);
         // Price each treelet fetch at its actual node count.
         std::vector<uint32_t> tl_nodes(sb.bvh.treeletCount());

@@ -38,10 +38,8 @@ main(int argc, char **argv)
     for (size_t i = 0; i < order.size(); i++)
         order[i] = i;
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return getSceneBundle(opt.scenes[a], opt.sceneScale)
-                   .bvhStats.totalBytes <
-               getSceneBundle(opt.scenes[b], opt.sceneScale)
-                   .bvhStats.totalBytes;
+        return opt.bundle(opt.scenes[a]).bvhStats.totalBytes <
+               opt.bundle(opt.scenes[b]).bvhStats.totalBytes;
     });
 
     Table t({"scene", "baseline_cycles", "prefetch_speedup",

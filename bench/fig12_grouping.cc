@@ -25,7 +25,7 @@ main(int argc, char **argv)
     // slower than everything else in the repository; clamp this
     // bench's frame size. All rows are normalized to a baseline run at
     // the same resolution, so the comparison is self-consistent.
-    opt.resolution = std::min(opt.resolution, 128u);
+    opt.job.resolution = std::min(opt.job.resolution, 128u);
     printBenchHeader("Figure 12: grouping underpopulated treelet queues",
                      opt);
 

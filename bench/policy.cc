@@ -87,7 +87,7 @@ main(int argc, char **argv)
     // straight through simulate() with an explicit BvhConfig, which
     // also bypasses the (TRT_BVH_WIDTH-keyed) run cache.
     HarnessOptions sweep = opt;
-    sweep.policyName.clear();
+    sweep.job.config.clear();
 
     // runs[scene][width][variant]
     std::vector<std::vector<std::vector<RunStats>>> runs(
@@ -99,7 +99,7 @@ main(int argc, char **argv)
             BvhConfig bvhCfg;
             bvhCfg.width = kWidths[w];
             const SceneBundle &b =
-                getSceneBundle(name, opt.sceneScale, bvhCfg);
+                getSceneBundle(name, opt.job.scale, bvhCfg);
             for (size_t v = 0; v < kNumVariants; v++) {
                 GpuConfig cfg =
                     sweep.apply(GpuConfig::forPolicy(kVariants[v].kind));

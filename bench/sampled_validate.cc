@@ -53,7 +53,7 @@ main(int argc, char **argv)
 
     double gate = envDouble("TRT_SAMPLE_GATE_PCT", 5.0);
 
-    SampleConfig sc = SampleConfig::fromEnv();
+    SampleConfig sc = opt.job.sample;
     sc.enabled = true; // This bench always compares against sampling.
 
     struct ArchDesc
@@ -77,7 +77,7 @@ main(int argc, char **argv)
     // Scenes run serially: both legs of a pair must be timed on an
     // otherwise idle machine for the speedup column to mean anything.
     for (const std::string &name : opt.scenes) {
-        const SceneBundle &b = getSceneBundle(name, opt.sceneScale);
+        const SceneBundle &b = opt.bundle(name);
         for (const ArchDesc &a : arches) {
             RunStats full, samp;
             double fullS = wallSeconds(

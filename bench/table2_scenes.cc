@@ -21,7 +21,7 @@ main(int argc, char **argv)
 
     std::vector<const SceneBundle *> bundles(opt.scenes.size());
     parallelForScenes(opt, [&](size_t i, const std::string &name) {
-        bundles[i] = &getSceneBundle(name, opt.sceneScale);
+        bundles[i] = &opt.bundle(name);
     });
 
     for (size_t i = 0; i < opt.scenes.size(); i++) {

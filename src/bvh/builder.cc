@@ -691,18 +691,6 @@ BvhConfig::fingerprint() const
     return h.value();
 }
 
-BvhConfig
-BvhConfig::fromEnv()
-{
-    BvhConfig cfg;
-    uint64_t w = envUInt("TRT_BVH_WIDTH", kBvhWidth, kMaxBvhWidth);
-    if (w != 4 && w != 8)
-        throw EnvError("TRT_BVH_WIDTH must be 4 or 8, got " +
-                       std::to_string(w));
-    cfg.width = int(w);
-    return cfg;
-}
-
 uint32_t
 resolveBuildThreads(uint32_t requested)
 {

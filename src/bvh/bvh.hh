@@ -72,7 +72,7 @@ struct BvhConfig
      * 64B nodes, or 32B with quantizedNodes) or 8 (cost-based DP
      * collapse into kCompressedNode8Bytes quantized nodes — the
      * Ylitie/Karras/Laine compressed wide BVH; width 8 always implies
-     * the compressed layout). Selected by TRT_BVH_WIDTH.
+     * the compressed layout). JobSpec::bvhWidth selects it.
      */
     int width = kBvhWidth;
     /**
@@ -91,10 +91,6 @@ struct BvhConfig
      * so cached bundles can't go stale when builder parameters change.
      */
     uint64_t fingerprint() const;
-
-    /** Default config with the TRT_BVH_WIDTH env knob applied
-     *  (strictly 4 or 8; unset = 4). */
-    static BvhConfig fromEnv();
 };
 
 /** Resolve a BvhConfig::buildThreads-style knob to a concrete thread

@@ -13,43 +13,16 @@ namespace trt
 namespace
 {
 
-/** Apply one knob (JobSpec serialization key) from a JSON scalar,
- *  with env.hh-strict validation. Reuses JobSpec::deserialize so the
- *  manifest and the wire format accept exactly the same keys. */
+/** Apply one knob (JobSpec serialization key) from a JSON scalar
+ *  through the knob table, so the manifest and the wire format accept
+ *  exactly the same keys and values. */
 void
 applyKnob(JobSpec &spec, const std::string &key, const JsonValue &v,
           const std::string &what)
 {
     if (!v.isScalar())
         throw EnvError(what + ": expected a scalar value");
-    // Round-trip through the line format: serialize the current spec,
-    // overwrite the one key, re-parse. Validation (unknown key, value
-    // range/format) lives in exactly one place this way. A still-empty
-    // scene (the "defaults" block) gets a placeholder so deserialize's
-    // scene-required check doesn't fire prematurely.
-    JobSpec base = spec;
-    bool placeholder = base.scene.empty();
-    if (placeholder)
-        base.scene = "?";
-    std::string text = base.serialize();
-    std::string line = key + "=" + v.text + "\n";
-    std::string patched;
-    bool replaced = false;
-    std::istringstream is(text);
-    std::string l;
-    while (std::getline(is, l)) {
-        if (l.compare(0, key.size() + 1, key + "=") == 0) {
-            patched += line;
-            replaced = true;
-        } else {
-            patched += l + "\n";
-        }
-    }
-    if (!replaced)
-        patched += line; // Unknown key: deserialize() rejects it below.
-    spec = JobSpec::deserialize(patched, what);
-    if (placeholder && spec.scene == "?")
-        spec.scene.clear();
+    spec.set(key, v.text, what);
 }
 
 void
@@ -138,7 +111,7 @@ Manifest::parse(const std::string &text, const std::string &origin)
                 for (const JobSpec &base : combos)
                     for (const JsonValue &v : values.items) {
                         JobSpec s = base;
-                        applyKnob(s, axis, v, what);
+                        applyKnob(s, axis, v, origin + ".grid");
                         nxt.push_back(std::move(s));
                     }
                 combos = std::move(nxt);

@@ -908,9 +908,9 @@ Gpu::maybeSnapshot(uint64_t now)
 }
 
 void
-Gpu::telemCommit(uint64_t now)
+Gpu::telemCommit(uint64_t now, bool last)
 {
-    if (telem_->gpuSampleDue(now)) {
+    if (last ? telem_->gpuTailDue(now) : telem_->gpuSampleDue(now)) {
         TelemGpuSample g;
         g.cycle = now;
         const MemClassStats &n = mem_.classStats(MemClass::BvhNode);
@@ -1094,12 +1094,13 @@ Gpu::finalizeStats()
     for (size_t c = 0; c < run_.mem.size(); c++)
         run_.mem[c] = mem_.classStats(MemClass(c));
 
-    // Drain whatever the final ticks staged, then write the trace
-    // files. This is the only write site: a halted (snapshot-resume)
-    // run leaves no partial file, and the resumed run emits the
-    // complete streams it restored plus its own.
+    // Drain whatever the final ticks staged and close the GPU series at
+    // the last cycle, then write the trace files. This is the only
+    // write site: a halted (snapshot-resume) run leaves no partial
+    // file, and the resumed run emits the complete streams it restored
+    // plus its own.
     if (telem_) {
-        telemCommit(lastNow_);
+        telemCommit(lastNow_, true);
         telem_->writeFiles();
     }
 }

@@ -351,8 +351,9 @@ class Gpu
 
     /** Telemetry merge at the serial commit boundary: capture the
      *  GPU-level (memory system) sample when due and drain every SM's
-     *  staging channel in SM order (DESIGN.md §12). */
-    void telemCommit(uint64_t now);
+     *  staging channel in SM order (DESIGN.md §12). @p last: the run's
+     *  final commit, which always leaves a GPU sample at @p now. */
+    void telemCommit(uint64_t now, bool last = false);
 
     GpuConfig cfg_;
     const Scene &scene_;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Sampled-simulation driver (DESIGN.md §8): Gpu::runSampled and the
- * functional fast-forward executor, plus the SampleConfig environment
- * plumbing and the fixed extrapolated-counter enumeration.
+ * functional fast-forward executor, plus the SampleConfig fingerprint
+ * and the fixed extrapolated-counter enumeration.
  */
 
 #include "gpu/gpu.hh"
@@ -21,25 +21,6 @@ namespace trt
 {
 
 // ---- SampleConfig ----------------------------------------------------
-
-SampleConfig
-SampleConfig::fromEnv()
-{
-    SampleConfig sc;
-    sc.enabled = envFlag("TRT_SAMPLE", false);
-    sc.measureCtas = uint32_t(
-        envUInt("TRT_SAMPLE_MEASURE", sc.measureCtas, 1u << 20));
-    sc.warmupCycles =
-        envUInt("TRT_SAMPLE_WARMUP", sc.warmupCycles, 1ull << 40);
-    sc.targetIntervals = uint32_t(
-        envUInt("TRT_SAMPLE_INTERVALS", sc.targetIntervals, 1u << 20));
-    if (sc.targetIntervals == 0)
-        throw EnvError("TRT_SAMPLE_INTERVALS must be > 0");
-    sc.ffRays = envUInt("TRT_SAMPLE_FF_RAYS", sc.ffRays, 1ull << 40);
-    if (sc.measureCtas == 0)
-        throw EnvError("TRT_SAMPLE_MEASURE must be > 0");
-    return sc;
-}
 
 uint64_t
 SampleConfig::fingerprint() const

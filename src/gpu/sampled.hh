@@ -22,8 +22,8 @@ namespace trt
 {
 
 /**
- * Knobs of a sampled run (TRT_SAMPLE_* environment variables; see
- * harness/harness.hh for the full knob table).
+ * Knobs of a sampled run: the sample* rows of the JobSpec knob table
+ * (harness/job.hh), which also names their TRT_SAMPLE_* variables.
  */
 struct SampleConfig
 {
@@ -63,10 +63,6 @@ struct SampleConfig
     /** Fixed fast-forward quantum in rays; overrides the CTA-stratum
      *  sizing when nonzero (TRT_SAMPLE_FF_RAYS). */
     uint64_t ffRays = 0;
-
-    /** Read TRT_SAMPLE_* from the environment (strict parsing via
-     *  util/env.hh). */
-    static SampleConfig fromEnv();
 
     /** Hash of every sampling parameter. Folded into the run-cache
      *  fingerprint (and echoed into snapshots) so sampled and full

@@ -109,15 +109,14 @@ HarnessOptions
 HarnessOptions::fromEnv()
 {
     HarnessOptions opt;
-    // TRT_FAST lowers the *defaults* only; the explicit knobs below
-    // read it as their fallback, so "TRT_FAST=1 TRT_SCALE=0.5" runs at
-    // 64x64 with scale 0.5 (see the precedence note in harness.hh).
+    // TRT_FAST lowers the *defaults* only: an explicit TRT_RES or
+    // TRT_SCALE still wins, so "TRT_FAST=1 TRT_SCALE=0.5" runs at 64x64
+    // with scale 0.5.
     if (envFlag("TRT_FAST", false)) {
-        opt.resolution = 64;
-        opt.sceneScale = 0.15f;
+        opt.job.resolution = 64;
+        opt.job.scale = 0.15f;
     }
-    opt.resolution = uint32_t(envUInt("TRT_RES", opt.resolution, 1 << 16));
-    opt.sceneScale = float(envDouble("TRT_SCALE", opt.sceneScale));
+    opt.job = JobSpec::fromEnv(opt.job);
     opt.threads = uint32_t(envUInt("TRT_THREADS", 0, 4096));
     opt.simThreads = uint32_t(envUInt("TRT_SIM_THREADS", 0, 4096));
     if (const char *r = envRaw("TRT_RESULTS"))
@@ -133,12 +132,6 @@ HarnessOptions::fromEnv()
     if (opt.scenes.empty())
         opt.scenes = sceneNames();
     opt.resume = envFlag("TRT_RESUME", false);
-    opt.policyName = envString("TRT_POLICY", "");
-    opt.reorderBinBits =
-        uint32_t(envUInt("TRT_REORDER_BITS", 0, 16));
-    opt.predictTableBits =
-        uint32_t(envUInt("TRT_PREDICT_BITS", 0, 24));
-    opt.predictShared = envFlag("TRT_PREDICT_SHARED", false);
     opt.telem = TelemetryConfig::fromEnv();
     return opt;
 }
@@ -163,7 +156,7 @@ HarnessOptions::fromArgs(int argc, char **argv)
                          "%s: unknown argument '%s'\n"
                          "usage: %s [--resume] [--telem-out <dir>]\n"
                          "(all other options come from TRT_* environment "
-                         "variables, see harness.hh)\n",
+                         "variables, see the knob table in README.md)\n",
                          argv[0], arg.c_str(), argv[0]);
             std::exit(2);
         }
@@ -171,31 +164,10 @@ HarnessOptions::fromArgs(int argc, char **argv)
     return opt;
 }
 
-GpuConfig
-HarnessOptions::apply(GpuConfig cfg) const
+const SceneBundle &
+HarnessOptions::bundle(const std::string &scene) const
 {
-    cfg.imageWidth = resolution;
-    cfg.imageHeight = resolution;
-    if (!policyName.empty()) {
-        DispatchPolicyKind kind;
-        if (!parseDispatchPolicy(policyName, kind))
-            throw EnvError("TRT_POLICY: unknown policy '" + policyName +
-                           "' (baseline|fifo|prefetch|vtq|reorder|predict)");
-        // The knob selects the policy's canonical configuration: Vtq
-        // pulls in ray virtualization and the reserved L2, and every
-        // other policy drops them.
-        GpuConfig canon = GpuConfig::forPolicy(kind);
-        cfg.policy = canon.policy;
-        cfg.rayVirtualization = canon.rayVirtualization;
-        cfg.mem.l2ReservedBytes = canon.mem.l2ReservedBytes;
-    }
-    if (reorderBinBits > 0)
-        cfg.reorderBinBits = reorderBinBits;
-    if (predictTableBits > 0)
-        cfg.predictTableBits = predictTableBits;
-    if (predictShared)
-        cfg.predictShared = true;
-    return cfg;
+    return getSceneBundle(scene, job.scale, job.bvhConfig());
 }
 
 uint32_t
@@ -285,27 +257,21 @@ getSceneBundle(const std::string &name, float scale,
     return *it->second;
 }
 
-const SceneBundle &
-getSceneBundle(const std::string &name, float scale)
-{
-    return getSceneBundle(name, scale, BvhConfig::fromEnv());
-}
-
 RunStats
 runScene(const std::string &name, const GpuConfig &cfg,
          const HarnessOptions &opt)
 {
     // One execution path for benches, tests and farm workers: the
     // actual run-cache/snapshot/simulate logic lives in executeJob()
-    // (harness/job.hh). The environment-dependent pieces — sampling
-    // mode and BVH build parameters — are resolved here so the
-    // fingerprint matches what a JobSpec with the same knobs computes.
+    // (harness/job.hh). Scale, BVH build parameters and sampling mode
+    // come from opt.job, so the fingerprint matches what a JobSpec
+    // with the same knobs computes.
     JobRunnerOptions ropt;
     ropt.simThreads = opt.effectiveSimThreads();
     ropt.resume = opt.resume;
     ropt.telem = opt.telem;
-    return executeJob(name, opt.sceneScale, cfg, BvhConfig::fromEnv(),
-                      SampleConfig::fromEnv(), ropt)
+    return executeJob(name, opt.job.scale, cfg, opt.job.bvhConfig(),
+                      opt.job.sample, ropt)
         .stats;
 }
 
@@ -375,8 +341,8 @@ void
 printBenchHeader(const std::string &title, const HarnessOptions &opt)
 {
     std::cout << "==== " << title << " ====\n"
-              << "resolution=" << opt.resolution << "x" << opt.resolution
-              << " scene_scale=" << opt.sceneScale
+              << "resolution=" << opt.job.resolution << "x"
+              << opt.job.resolution << " scene_scale=" << opt.job.scale
               << " scenes=" << opt.scenes.size() << "\n\n";
 }
 

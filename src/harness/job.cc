@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <type_traits>
 
 #include "core/arch.hh"
 #include "harness/harness.hh"
@@ -32,20 +33,130 @@ formatFloat(float v)
     return buf;
 }
 
+// Row builders. @p field is a generic accessor returning a reference
+// to the knob's JobSpec member.
+
+template <typename Field>
+JobKnob
+uintKnob(const char *key, const char *env, uint64_t max, Field field,
+         bool (*ok)(uint64_t) = nullptr, const char *expected = nullptr)
+{
+    JobKnob k{key, env,
+              [=](JobSpec &s, const std::string &what,
+                  const std::string &text) {
+                  using T = std::remove_reference_t<decltype(field(s))>;
+                  field(s) = T(parseUIntText(what, text, max));
+              },
+              [=](const JobSpec &s) { return std::to_string(field(s)); },
+              {}, expected};
+    if (ok)
+        k.valid = [=](const JobSpec &s) { return ok(field(s)); };
+    return k;
+}
+
+template <typename Field>
+JobKnob
+flagKnob(const char *key, const char *env, Field field)
+{
+    return {key, env,
+            [=](JobSpec &s, const std::string &what,
+                const std::string &text) {
+                field(s) = parseFlagText(what, text);
+            },
+            [=](const JobSpec &s) {
+                return std::string(field(s) ? "1" : "0");
+            }};
+}
+
+bool
+positive(uint64_t v)
+{
+    return v > 0;
+}
+
+/** The one validation step: throw EnvError naming @p what unless
+ *  @p k's field passes the row's check. */
+void
+checkKnob(const JobSpec &spec, const JobKnob &k, const std::string &what)
+{
+    if (k.valid && !k.valid(spec))
+        throw EnvError(what + "=\"" + k.format(spec) + "\": expected " +
+                       k.expected);
+}
+
 } // anonymous namespace
+
+const std::vector<JobKnob> &
+jobKnobs()
+{
+    static const std::vector<JobKnob> table = {
+        {"scene", nullptr,
+         [](JobSpec &s, const std::string &, const std::string &text) {
+             s.scene = text;
+         },
+         [](const JobSpec &s) { return s.scene; }},
+        {"scale", "TRT_SCALE",
+         [](JobSpec &s, const std::string &what, const std::string &text) {
+             s.scale = float(parseDoubleText(what, text));
+         },
+         [](const JobSpec &s) { return formatFloat(s.scale); }},
+        uintKnob("res", "TRT_RES", 1 << 16,
+                 [](auto &s) -> auto & { return s.resolution; }),
+        {"config", "TRT_POLICY",
+         [](JobSpec &s, const std::string &, const std::string &text) {
+             s.config = text;
+         },
+         [](const JobSpec &s) { return s.config; },
+         [](const JobSpec &s) {
+             DispatchPolicyKind kind;
+             return s.config.empty() || parseDispatchPolicy(s.config, kind);
+         },
+         "baseline|fifo|prefetch|vtq|reorder|predict"},
+        uintKnob(
+            "bvh_width", "TRT_BVH_WIDTH", kMaxBvhWidth,
+            [](auto &s) -> auto & { return s.bvhWidth; },
+            [](uint64_t w) { return w == 4 || w == 8; }, "4 or 8"),
+        uintKnob("bounces", nullptr, 1 << 10,
+                 [](auto &s) -> auto & { return s.maxBounces; }),
+        uintKnob("reorder_bits", "TRT_REORDER_BITS", 16,
+                 [](auto &s) -> auto & { return s.reorderBinBits; }),
+        uintKnob("predict_bits", "TRT_PREDICT_BITS", 24,
+                 [](auto &s) -> auto & { return s.predictTableBits; }),
+        flagKnob("predict_shared", "TRT_PREDICT_SHARED",
+                 [](auto &s) -> auto & { return s.predictShared; }),
+        flagKnob("sample", "TRT_SAMPLE",
+                 [](auto &s) -> auto & { return s.sample.enabled; }),
+        uintKnob(
+            "sample_measure", "TRT_SAMPLE_MEASURE", 1u << 20,
+            [](auto &s) -> auto & { return s.sample.measureCtas; },
+            positive, "> 0"),
+        uintKnob("sample_warmup", "TRT_SAMPLE_WARMUP", 1ull << 40,
+                 [](auto &s) -> auto & { return s.sample.warmupCycles; }),
+        uintKnob(
+            "sample_intervals", "TRT_SAMPLE_INTERVALS", 1u << 20,
+            [](auto &s) -> auto & { return s.sample.targetIntervals; },
+            positive, "> 0"),
+        uintKnob("sample_ff_rays", "TRT_SAMPLE_FF_RAYS", 1ull << 40,
+                 [](auto &s) -> auto & { return s.sample.ffRays; }),
+    };
+    return table;
+}
 
 // ---- JobSpec ---------------------------------------------------------
 
 GpuConfig
-JobSpec::gpuConfig() const
+JobSpec::overlay(GpuConfig cfg) const
 {
-    DispatchPolicyKind kind;
-    if (!parseDispatchPolicy(config, kind))
-        throw EnvError("job config: unknown '" + config +
-                       "' (baseline|fifo|prefetch|vtq|reorder|predict)");
-    GpuConfig cfg = GpuConfig::forPolicy(kind);
+    validate();
     cfg.imageWidth = resolution;
     cfg.imageHeight = resolution;
+    DispatchPolicyKind kind;
+    if (parseDispatchPolicy(config, kind)) {
+        GpuConfig canon = GpuConfig::forPolicy(kind);
+        cfg.policy = canon.policy;
+        cfg.rayVirtualization = canon.rayVirtualization;
+        cfg.mem.l2ReservedBytes = canon.mem.l2ReservedBytes;
+    }
     if (maxBounces > 0)
         cfg.maxBounces = maxBounces;
     if (reorderBinBits > 0)
@@ -57,12 +168,16 @@ JobSpec::gpuConfig() const
     return cfg;
 }
 
+GpuConfig
+JobSpec::gpuConfig() const
+{
+    return overlay(GpuConfig{});
+}
+
 BvhConfig
 JobSpec::bvhConfig() const
 {
-    if (bvhWidth != 4 && bvhWidth != 8)
-        throw EnvError("job bvh_width=\"" + std::to_string(bvhWidth) +
-                       "\": expected 4 or 8");
+    validate();
     BvhConfig b;
     b.width = int(bvhWidth);
     return b;
@@ -86,25 +201,35 @@ JobSpec::label() const
     return ss.str();
 }
 
+void
+JobSpec::set(const std::string &key, const std::string &text,
+             const std::string &origin)
+{
+    for (const JobKnob &k : jobKnobs()) {
+        if (key == k.key) {
+            std::string what = origin + "." + key;
+            k.parse(*this, what, text);
+            checkKnob(*this, k, what);
+            return;
+        }
+    }
+    throw EnvError(origin + ": unknown key \"" + key + "\"");
+}
+
+void
+JobSpec::validate() const
+{
+    for (const JobKnob &k : jobKnobs())
+        checkKnob(*this, k, std::string("job.") + k.key);
+}
+
 std::string
 JobSpec::serialize() const
 {
-    std::ostringstream ss;
-    ss << "scene=" << scene << "\n"
-       << "scale=" << formatFloat(scale) << "\n"
-       << "res=" << resolution << "\n"
-       << "config=" << config << "\n"
-       << "bvh_width=" << bvhWidth << "\n"
-       << "bounces=" << maxBounces << "\n"
-       << "reorder_bits=" << reorderBinBits << "\n"
-       << "predict_bits=" << predictTableBits << "\n"
-       << "predict_shared=" << (predictShared ? 1 : 0) << "\n"
-       << "sample=" << (sample.enabled ? 1 : 0) << "\n"
-       << "sample_measure=" << sample.measureCtas << "\n"
-       << "sample_warmup=" << sample.warmupCycles << "\n"
-       << "sample_intervals=" << sample.targetIntervals << "\n"
-       << "sample_ff_rays=" << sample.ffRays << "\n";
-    return ss.str();
+    std::string out;
+    for (const JobKnob &k : jobKnobs())
+        out += std::string(k.key) + "=" + k.format(*this) + "\n";
+    return out;
 }
 
 JobSpec
@@ -113,7 +238,6 @@ JobSpec::deserialize(const std::string &text, const std::string &origin)
     JobSpec spec;
     std::istringstream is(text);
     std::string line;
-    bool have_scene = false;
     while (std::getline(is, line)) {
         if (line.empty())
             continue;
@@ -121,48 +245,22 @@ JobSpec::deserialize(const std::string &text, const std::string &origin)
         if (eq == std::string::npos)
             throw EnvError(origin + ": malformed line \"" + line +
                            "\" (expected key=value)");
-        std::string key = line.substr(0, eq);
-        std::string val = line.substr(eq + 1);
-        std::string what = origin + "." + key;
-        if (key == "scene") {
-            spec.scene = val;
-            have_scene = !val.empty();
-        } else if (key == "scale") {
-            spec.scale = float(parseDoubleText(what, val));
-        } else if (key == "res") {
-            spec.resolution = uint32_t(parseUIntText(what, val, 1 << 16));
-        } else if (key == "config") {
-            spec.config = val;
-        } else if (key == "bvh_width") {
-            spec.bvhWidth = uint32_t(parseUIntText(what, val, 8));
-        } else if (key == "bounces") {
-            spec.maxBounces = uint32_t(parseUIntText(what, val, 1 << 10));
-        } else if (key == "reorder_bits") {
-            spec.reorderBinBits = uint32_t(parseUIntText(what, val, 16));
-        } else if (key == "predict_bits") {
-            spec.predictTableBits =
-                uint32_t(parseUIntText(what, val, 24));
-        } else if (key == "predict_shared") {
-            spec.predictShared = parseFlagText(what, val);
-        } else if (key == "sample") {
-            spec.sample.enabled = parseFlagText(what, val);
-        } else if (key == "sample_measure") {
-            spec.sample.measureCtas =
-                uint32_t(parseUIntText(what, val, 1u << 20));
-        } else if (key == "sample_warmup") {
-            spec.sample.warmupCycles =
-                parseUIntText(what, val, 1ull << 40);
-        } else if (key == "sample_intervals") {
-            spec.sample.targetIntervals =
-                uint32_t(parseUIntText(what, val, 1u << 20));
-        } else if (key == "sample_ff_rays") {
-            spec.sample.ffRays = parseUIntText(what, val, 1ull << 40);
-        } else {
-            throw EnvError(origin + ": unknown key \"" + key + "\"");
+        spec.set(line.substr(0, eq), line.substr(eq + 1), origin);
+    }
+    if (spec.scene.empty())
+        throw EnvError(origin + ": missing required key \"scene\"");
+    return spec;
+}
+
+JobSpec
+JobSpec::fromEnv(JobSpec spec)
+{
+    for (const JobKnob &k : jobKnobs()) {
+        if (k.env && envSet(k.env)) {
+            k.parse(spec, k.env, envRaw(k.env));
+            checkKnob(spec, k, k.env);
         }
     }
-    if (!have_scene)
-        throw EnvError(origin + ": missing required key \"scene\"");
     return spec;
 }
 
@@ -236,18 +334,6 @@ executeJob(const std::string &scene, float scale, const GpuConfig &cfg,
     harnessTiming().simulateMs += ms;
     harnessTiming().simulatedCycles += st.cycles;
     harnessTiming().simulatedRays += st.raysTraced;
-    if (envFlag("TRT_SIM_RATE", false)) {
-        // Machine-parseable per-scene rate line (key=value pairs).
-        double s = double(std::max<uint64_t>(ms, 1)) / 1000.0;
-        std::fprintf(stderr,
-                     "[harness] sim-rate scene=%s policy=%s cycles=%llu "
-                     "rays=%llu ms=%llu cyc_per_s=%.0f mrays_per_s=%.3f\n",
-                     scene.c_str(), dispatchPolicyName(cfg.policy),
-                     (unsigned long long)st.cycles,
-                     (unsigned long long)st.raysTraced,
-                     (unsigned long long)ms, double(st.cycles) / s,
-                     double(st.raysTraced) / s / 1e6);
-    }
     storeCachedRun(fp, scene, st);
     return out;
 }

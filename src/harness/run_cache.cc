@@ -25,6 +25,9 @@
 namespace trt
 {
 
+/** SHA-256 of the simulator sources (source_stamp.cmake). */
+extern const char kSourceStamp[];
+
 namespace
 {
 
@@ -248,9 +251,9 @@ runFingerprint(const GpuConfig &cfg, const std::string &scene, float scale,
     // invalidate runs.
     h.pod(bvhCfg.fingerprint());
     h.pod(uint32_t(RunStatsIo::kVersion));
-    // Build stamp: simulator code changes invalidate old results even
-    // when no schema version was bumped.
-    h.str(std::string(__DATE__ " " __TIME__));
+    // Source stamp: simulator code changes invalidate old results
+    // even when no schema version was bumped.
+    h.str(kSourceStamp);
     return h.value();
 }
 
@@ -258,9 +261,7 @@ uint64_t
 runFingerprint(const GpuConfig &cfg, const std::string &scene, float scale,
                uint64_t modeFp)
 {
-    // The harness default: bundles are built with the environment's
-    // BVH parameters (TRT_BVH_WIDTH), so they key the fingerprint.
-    return runFingerprint(cfg, scene, scale, BvhConfig::fromEnv(), modeFp);
+    return runFingerprint(cfg, scene, scale, BvhConfig{}, modeFp);
 }
 
 bool

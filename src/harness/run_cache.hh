@@ -65,8 +65,8 @@ bool runCacheEnabled();
 /**
  * Fingerprint of one simulation run. Covers every GpuConfig field
  * (resolution and bounce count live there), the scene identity, the
- * BVH build parameters, the blob schema version and a build stamp of
- * the simulator code, so results can never be served stale.
+ * BVH build parameters, the blob schema version and a hash of the
+ * simulator sources, so results can never be served stale.
  *
  * @p modeFp distinguishes execution modes that change the *numbers*
  * without changing the config: a sampled run (TRT_SAMPLE) passes
@@ -77,10 +77,9 @@ bool runCacheEnabled();
 uint64_t runFingerprint(const GpuConfig &cfg, const std::string &scene,
                         float scale, uint64_t modeFp = 0);
 
-/** Same, with an explicit BvhConfig instead of BvhConfig::fromEnv() —
- *  what JobSpec::fingerprint() uses so a job's BVH width is part of
- *  the spec, not ambient process state. The env-reading overload above
- *  delegates here. */
+/** Same, with explicit BVH build parameters (the overload above uses
+ *  the default BvhConfig) — what JobSpec::fingerprint() uses, so a
+ *  job's BVH width is part of the key. */
 uint64_t runFingerprint(const GpuConfig &cfg, const std::string &scene,
                         float scale, const BvhConfig &bvhCfg,
                         uint64_t modeFp);

@@ -207,6 +207,15 @@ class Telemetry
         return cfg_.enabled && now >= nextGpuSampleAt_;
     }
 
+    /** True until a GPU-level sample at @p now exists: the run's last
+     *  cycle always gets one, whatever the sampling period. */
+    bool
+    gpuTailDue(uint64_t now) const
+    {
+        return cfg_.enabled &&
+               (gpuSamples_.empty() || gpuSamples_.back().cycle < now);
+    }
+
     /** Append a GPU-level sample (serial context only). */
     void
     pushGpuSample(const TelemGpuSample &s)

@@ -337,7 +337,7 @@ TEST(CodecBytes, BundleFilePinned)
 
 TEST(CodecBytes, TelemetryBinaryPinned)
 {
-    EXPECT_EQ(hex(fnv(slurp(smallTsbin()))), "0x7f3705d2b4b1271c");
+    EXPECT_EQ(hex(fnv(slurp(smallTsbin()))), "0x9d76c25abac35f05");
 }
 
 TEST(CodecBytes, SnapshotFilePinned)

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include <sys/wait.h>
@@ -164,6 +165,45 @@ TEST(FarmJobSpec, StrictParsing)
     EXPECT_THROW(JobSpec::deserialize("scene=B\nres=12x\n"), EnvError);
     EXPECT_THROW(JobSpec::deserialize("scene=B\npredict_shared=maybe\n"),
                  EnvError);
+    // The knob table's checks fire at parse time, not first when the
+    // job materializes or simulates.
+    EXPECT_THROW(JobSpec::deserialize("scene=B\nsample_intervals=0\n"),
+                 EnvError);
+    EXPECT_THROW(JobSpec::deserialize("scene=B\nsample_measure=0\n"),
+                 EnvError);
+    EXPECT_THROW(JobSpec::deserialize("scene=B\nbvh_width=6\n"), EnvError);
+}
+
+/** Every knob with a TRT_* name gives the same JobSpec through the
+ *  environment as the same value through its text key. */
+TEST(FarmJobSpec, EnvNamesMatchTextKeys)
+{
+    // A non-default value for each knob the environment can set.
+    const std::map<std::string, std::string> values = {
+        {"scale", "0.25"},         {"res", "96"},
+        {"config", "predict"},     {"bvh_width", "8"},
+        {"reorder_bits", "5"},     {"predict_bits", "10"},
+        {"predict_shared", "1"},   {"sample", "1"},
+        {"sample_measure", "16"},  {"sample_warmup", "5000"},
+        {"sample_intervals", "3"}, {"sample_ff_rays", "4096"},
+    };
+    JobSpec base;
+    base.scene = "BUNNY";
+    size_t covered = 0;
+    for (const JobKnob &k : jobKnobs()) {
+        if (!k.env)
+            continue;
+        SCOPED_TRACE(k.env);
+        auto it = values.find(k.key);
+        ASSERT_NE(it, values.end()) << "no test value for " << k.key;
+        JobSpec text = base;
+        text.set(k.key, it->second);
+        EXPECT_NE(text.serialize(), base.serialize());
+        EnvGuard env(k.env, it->second.c_str());
+        EXPECT_EQ(JobSpec::fromEnv(base).serialize(), text.serialize());
+        covered++;
+    }
+    EXPECT_EQ(covered, values.size());
 }
 
 TEST(FarmJobSpec, MaterializationValidates)
@@ -255,6 +295,23 @@ TEST(FarmManifest, RejectsUnknownKeysAndKnobs)
                  EnvError); // job without scene
     EXPECT_THROW(Manifest::parse(R"({"name": "x"})"),
                  EnvError); // neither scenes nor jobs
+}
+
+/** A knob value the table rejects fails the whole manifest with the
+ *  key named, before any job runs (a zero interval count would
+ *  otherwise reach the sampler's divide). */
+TEST(FarmManifest, RejectsZeroSampleIntervals)
+{
+    try {
+        Manifest::parse(R"({"scenes": ["CRNVL"],
+                            "defaults": {"sample": 1,
+                                         "sample_intervals": 0}})");
+        FAIL() << "expected EnvError";
+    } catch (const EnvError &e) {
+        EXPECT_NE(std::string(e.what()).find("sample_intervals"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(FarmManifest, LoadReadsFile)
@@ -394,7 +451,7 @@ TEST(FarmRunCache, JobSpecAliasesBenchEntries)
 
     // The bench path: explicit GpuConfig through runScene.
     HarnessOptions opt;
-    opt.sceneScale = spec.scale;
+    opt.job.scale = spec.scale;
     opt.simThreads = 1;
     RunStats bench = runScene(spec.scene, spec.gpuConfig(), opt);
 

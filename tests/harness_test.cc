@@ -57,8 +57,8 @@ TEST(HarnessOptions, Defaults)
     unsetenv("TRT_SCENES");
     unsetenv("TRT_FAST");
     HarnessOptions opt = HarnessOptions::fromEnv();
-    EXPECT_EQ(opt.resolution, 256u);
-    EXPECT_FLOAT_EQ(opt.sceneScale, 1.0f);
+    EXPECT_EQ(opt.job.resolution, 256u);
+    EXPECT_FLOAT_EQ(opt.job.scale, 1.0f);
     EXPECT_EQ(opt.scenes.size(), 14u);
 }
 
@@ -69,8 +69,8 @@ TEST(HarnessOptions, EnvOverrides)
     EnvGuard sc("TRT_SCENES", "BUNNY,CRNVL");
     EnvGuard th("TRT_THREADS", "3");
     HarnessOptions opt = HarnessOptions::fromEnv();
-    EXPECT_EQ(opt.resolution, 64u);
-    EXPECT_FLOAT_EQ(opt.sceneScale, 0.5f);
+    EXPECT_EQ(opt.job.resolution, 64u);
+    EXPECT_FLOAT_EQ(opt.job.scale, 0.5f);
     ASSERT_EQ(opt.scenes.size(), 2u);
     EXPECT_EQ(opt.scenes[0], "BUNNY");
     EXPECT_EQ(opt.scenes[1], "CRNVL");
@@ -84,8 +84,8 @@ TEST(HarnessOptions, FastMode)
     unsetenv("TRT_RES");
     unsetenv("TRT_SCALE");
     HarnessOptions opt = HarnessOptions::fromEnv();
-    EXPECT_EQ(opt.resolution, 64u);
-    EXPECT_LT(opt.sceneScale, 0.5f);
+    EXPECT_EQ(opt.job.resolution, 64u);
+    EXPECT_LT(opt.job.scale, 0.5f);
 }
 
 /** TRT_FAST only lowers the *defaults*: an explicit TRT_SCALE (or
@@ -97,13 +97,13 @@ TEST(HarnessOptions, ExplicitScaleWinsOverFastMode)
     EnvGuard s("TRT_SCALE", "0.5");
     unsetenv("TRT_RES");
     HarnessOptions opt = HarnessOptions::fromEnv();
-    EXPECT_EQ(opt.resolution, 64u); // fast default still applies
-    EXPECT_FLOAT_EQ(opt.sceneScale, 0.5f);
+    EXPECT_EQ(opt.job.resolution, 64u); // fast default still applies
+    EXPECT_FLOAT_EQ(opt.job.scale, 0.5f);
 
     EnvGuard r("TRT_RES", "512");
     opt = HarnessOptions::fromEnv();
-    EXPECT_EQ(opt.resolution, 512u);
-    EXPECT_FLOAT_EQ(opt.sceneScale, 0.5f);
+    EXPECT_EQ(opt.job.resolution, 512u);
+    EXPECT_FLOAT_EQ(opt.job.scale, 0.5f);
 }
 
 // ---- strict environment-knob parsing (util/env.hh) -----------------
@@ -172,7 +172,7 @@ TEST(EnvKnobs, RangeViolationIsAHardError)
 TEST(HarnessOptions, ApplySetsResolution)
 {
     HarnessOptions opt;
-    opt.resolution = 48;
+    opt.job.resolution = 48;
     GpuConfig cfg = opt.apply(GpuConfig{});
     EXPECT_EQ(cfg.imageWidth, 48u);
     EXPECT_EQ(cfg.imageHeight, 48u);
@@ -183,13 +183,13 @@ TEST(HarnessOptions, PolicyOverrideTakesCanonicalConfig)
     // TRT_POLICY=fifo on a VTQ config drops ray virtualization and the
     // reserved L2 along with the treelet queues.
     HarnessOptions opt;
-    opt.resolution = 48;
-    opt.policyName = "fifo";
+    opt.job.resolution = 48;
+    opt.job.config = "fifo";
     GpuConfig fifo = GpuConfig::forPolicy(DispatchPolicyKind::Fifo);
     fifo.imageWidth = fifo.imageHeight = 48;
     EXPECT_EQ(opt.apply(GpuConfig::virtualizedTreeletQueues()).fingerprint(),
               fifo.fingerprint());
-    opt.policyName = "vtq";
+    opt.job.config = "vtq";
     GpuConfig vtq = GpuConfig::forPolicy(DispatchPolicyKind::Vtq);
     vtq.imageWidth = vtq.imageHeight = 48;
     EXPECT_EQ(opt.apply(GpuConfig{}).fingerprint(), vtq.fingerprint());
@@ -209,8 +209,8 @@ TEST(SceneBundle, CachedByNameAndScale)
 TEST(RunScene, ProducesStats)
 {
     HarnessOptions opt;
-    opt.resolution = 16;
-    opt.sceneScale = 0.03f;
+    opt.job.resolution = 16;
+    opt.job.scale = 0.03f;
     GpuConfig cfg = opt.apply(GpuConfig{});
     cfg.numSms = 2;
     cfg.mem.numL1s = 2;
@@ -434,8 +434,8 @@ TEST_F(RunCacheOnDisk, StoreThenLoadRoundTrips)
 TEST_F(RunCacheOnDisk, SecondRunSceneIsServedFromCache)
 {
     HarnessOptions opt;
-    opt.resolution = 16;
-    opt.sceneScale = 0.03f;
+    opt.job.resolution = 16;
+    opt.job.scale = 0.03f;
     GpuConfig cfg = opt.apply(GpuConfig{});
     cfg.numSms = 2;
     cfg.mem.numL1s = 2;
@@ -506,8 +506,8 @@ TEST_F(RunCacheOnDisk, EscapeHatchDisablesCache)
     EXPECT_FALSE(runCacheEnabled());
 
     HarnessOptions opt;
-    opt.resolution = 16;
-    opt.sceneScale = 0.03f;
+    opt.job.resolution = 16;
+    opt.job.scale = 0.03f;
     GpuConfig cfg = opt.apply(GpuConfig{});
     cfg.numSms = 2;
     cfg.mem.numL1s = 2;

@@ -257,6 +257,27 @@ TEST(Telemetry, ResumedTraceEqualsUninterruptedTrace)
     EXPECT_EQ(whole_json, slurp(part_dir / "t.trace.json"));
 }
 
+/** The GPU series ends with one sample at the run's last cycle,
+ *  whatever the sampling period, so Fig. 11's last window covers the
+ *  run's tail. */
+TEST(Telemetry, GpuSeriesEndsAtLastCycle)
+{
+    GpuConfig cfg = sized(GpuConfig::virtualizedTreeletQueues());
+    const SceneBundle &b = getSceneBundle("CRNVL", 0.25f);
+    fs::path dir = telemDir("tail");
+    GpuConfig tcfg = telemetrized(cfg, dir);
+    RunStats st = simulate(tcfg, b.scene, b.bvh);
+    // A period dividing the run would place the last sample there
+    // anyway and prove nothing.
+    ASSERT_NE(st.cycles % tcfg.telem.everyCycles, 0u);
+
+    std::vector<TelemGpuSample> g =
+        Telemetry::readBinary((dir / "t.tsbin").string()).gpuSamples();
+    ASSERT_GE(g.size(), 2u);
+    EXPECT_EQ(g.back().cycle, st.cycles);
+    EXPECT_LT(g[g.size() - 2].cycle, st.cycles);
+}
+
 // ---- telemetry state in snapshots ----------------------------------
 
 TEST(Telemetry, SaveStateRefusesUndrainedChannels)

@@ -47,8 +47,8 @@ bvhMissRate(const trt::RunStats &st, bool l2)
 
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -228,4 +228,10 @@ main(int argc, char **argv)
     wt.print(std::cout);
     writeCsv(opt, wt, "ablation_width.csv");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

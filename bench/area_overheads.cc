@@ -15,8 +15,8 @@
 
 #include "harness/harness.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -65,4 +65,10 @@ main(int argc, char **argv)
               << formatDouble(ray_data_kb, 0) << "KB (paper: 128KB)\n"
               << "max concurrent rays observed: " << max_rays << "\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

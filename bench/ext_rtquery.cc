@@ -16,8 +16,8 @@
 #include "harness/harness.hh"
 #include "workloads/rt_query.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -75,4 +75,10 @@ main(int argc, char **argv)
     std::cout << "\npaper sec 8: conjectures treelet queues transfer to "
                  "RT-accelerated tree queries (RTNN/RT-DBSCAN/RTIndeX)\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

@@ -13,8 +13,8 @@
 
 #include "harness/harness.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -53,4 +53,10 @@ main(int argc, char **argv)
 
     std::cout << "\npaper: avg miss 0.58 (up to 0.70); avg SIMT ~0.37\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

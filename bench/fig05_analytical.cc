@@ -12,8 +12,8 @@
 #include "analytic/analytic.hh"
 #include "harness/harness.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -57,4 +57,10 @@ main(int argc, char **argv)
     std::cout << "\npaper: monotone rise to ~3-4x by thousands of "
                  "concurrent rays; small-BVH scenes highest\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

@@ -14,8 +14,8 @@
 
 #include "harness/harness.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -69,4 +69,10 @@ main(int argc, char **argv)
               << "measured: VTQ/prefetch = "
               << formatDouble(geomean(sv) / geomean(sp), 3) << "x\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

@@ -26,8 +26,8 @@ constexpr size_t buckets = 64;
 
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -92,4 +92,10 @@ main(int argc, char **argv)
               << "\npaper: treelet mode dips to ~0.09 early, rises to "
                  "~0.75-0.80 late; baseline plateaus ~0.60\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

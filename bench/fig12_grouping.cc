@@ -15,8 +15,8 @@
 
 #include "harness/harness.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -76,4 +76,10 @@ main(int argc, char **argv)
               << formatDouble(geomean(cols[3]) / geomean(cols[0]), 2)
               << "x\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

@@ -15,8 +15,8 @@
 
 #include "harness/harness.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -77,4 +77,10 @@ main(int argc, char **argv)
     std::cout << "\npaper: speedups none<1, r16=1.84, r22=1.95; SIMT "
                  "base 0.37, none 0.33, r22 0.82\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

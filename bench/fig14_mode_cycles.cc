@@ -12,8 +12,8 @@
 
 #include "harness/harness.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -51,4 +51,10 @@ main(int argc, char **argv)
     std::cout << "\npaper: short initial phase; ray-stationary mode "
                  "dominates cycles in every scene\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

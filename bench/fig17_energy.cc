@@ -13,8 +13,8 @@
 #include "energy/energy.hh"
 #include "harness/harness.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -58,4 +58,10 @@ main(int argc, char **argv)
     std::cout << "\npaper: VTQ at ~40% of baseline energy; "
                  "virtualization ~11% of VTQ total\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

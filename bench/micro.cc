@@ -310,7 +310,7 @@ BM_RtNextEventRefresh(benchmark::State &state)
         req.token = token++;
         for (uint32_t l = 0; l < cfg.warpSize; l++)
             req.lanes.push_back({uint8_t(l), randomRay(rng, bounds)});
-        unit.tryAccept(0, std::move(req));
+        unit.accept(0, std::move(req)); // fifo admits every warp
     }
     // One tick populates the wait states (and the event heap) of every
     // resident ray; the refresh below is what each later cycle pays.

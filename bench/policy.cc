@@ -72,8 +72,8 @@ constexpr size_t kNumWidths = sizeof(kWidths) / sizeof(kWidths[0]);
 
 } // anonymous namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
     printBenchHeader("Dispatch-policy x BVH-width ablation "
@@ -179,4 +179,10 @@ main(int argc, char **argv)
     std::cout << "\nframes identical across all " << kNumVariants
               << " policies at both widths on every scene\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

@@ -43,8 +43,8 @@ wallSeconds(const std::function<void()> &fn)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -129,4 +129,10 @@ main(int argc, char **argv)
     }
     std::cout << "sampled_validate: PASS\n";
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

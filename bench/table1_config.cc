@@ -8,8 +8,8 @@
 
 #include "harness/harness.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -48,4 +48,10 @@ main(int argc, char **argv)
     t.print(std::cout);
     writeCsv(opt, t, "table1_config.csv");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

@@ -9,8 +9,8 @@
 
 #include "harness/harness.hh"
 
-int
-main(int argc, char **argv)
+static int
+benchMain(int argc, char **argv)
 {
     using namespace trt;
     HarnessOptions opt = HarnessOptions::fromArgs(argc, argv);
@@ -40,4 +40,10 @@ main(int argc, char **argv)
     t.print(std::cout);
     writeCsv(opt, t, "table2_scenes.csv");
     return 0;
+}
+
+int
+main(int argc, char **argv)
+{
+    return trt::runMain(argc, argv, benchMain);
 }

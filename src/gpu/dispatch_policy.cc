@@ -308,10 +308,10 @@ PrefetchPolicy::popularTreelet(const std::vector<WarpSlot> &slots) const
     for (const WarpSlot &slot : slots) {
         if (slot.kind == SlotKind::Free)
             continue;
-        for (const RayEntry &e : slot.entries) {
-            if (!e.valid || e.stage == RayStage::Done)
+        for (size_t i = 0; i < slot.entries.size(); i++) {
+            if (slot.stage[i] == RayStage::Done)
                 continue;
-            uint32_t t = e.trav.currentTreelet();
+            uint32_t t = slot.entries[i].trav.currentTreelet();
             if (t == kInvalidTreelet)
                 continue;
             auto it = std::find_if(histoScratch_.begin(),
@@ -574,6 +574,8 @@ VtqPolicy::noteQueueGrew(size_t sz)
         overThresholdNow_++;
     if ((sz - 1) % cfg_.warpSize == 0)
         tableEntriesNow_++;
+    if (sz <= heldDepthCap())
+        heldCapped_++;
 }
 
 void
@@ -583,6 +585,8 @@ VtqPolicy::noteQueueShrank(size_t sz)
         overThresholdNow_--;
     if (sz % cfg_.warpSize == 0)
         tableEntriesNow_--;
+    if (sz < heldDepthCap())
+        heldCapped_--;
 }
 
 void
@@ -608,12 +612,10 @@ VtqPolicy::raysHeld() const
     // queue by queue and one giant root queue (the post-drain shape)
     // cannot stand in for the steady-state spread. The previous
     // population-x-spread product over-weighted exactly that shape; see
-    // the re-measured error table in DESIGN.md §8.
-    uint64_t cap = 2 * std::max<uint64_t>(1, cfg_.queueThreshold);
-    uint64_t held = freshRays_;
-    for (const auto &q : queues_)
-        held += std::min<uint64_t>(q.second.size(), cap);
-    return held;
+    // the re-measured error table in DESIGN.md §8. The capped sum is
+    // kept up to date at every queue size change (noteQueueGrew/
+    // noteQueueShrank): the warm-up test reads it every cycle.
+    return freshRays_ + heldCapped_;
 }
 
 void
@@ -637,6 +639,7 @@ VtqPolicy::takeQueued(std::vector<QueuedRay> &out)
     queued_ = 0;
     overThresholdNow_ = 0;
     tableEntriesNow_ = 0;
+    heldCapped_ = 0;
     // Every ray id is free again; restart the id space so post-drain
     // allocation (and the ray-data addresses derived from it) is
     // independent of pre-drain history.
@@ -699,6 +702,9 @@ VtqPolicy::loadState(Deserializer &d)
     overThresholdNow_ = d.u32();
     tableEntriesNow_ = d.u32();
     d.endChunk();
+    heldCapped_ = 0;
+    for (const auto &[t, q] : queues_)
+        heldCapped_ += std::min<uint64_t>(q.size(), heldDepthCap());
 }
 
 // ---- ReorderPolicy ----------------------------------------------------

@@ -46,6 +46,7 @@
 #ifndef TRT_GPU_DISPATCH_POLICY_HH
 #define TRT_GPU_DISPATCH_POLICY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -395,6 +396,12 @@ class VtqPolicy : public DispatchPolicy
      *  new size after every push / pop. */
     void noteQueueGrew(size_t sz);
     void noteQueueShrank(size_t sz);
+    /** Depth at which raysHeld() stops counting a queue's rays. */
+    uint64_t
+    heldDepthCap() const
+    {
+        return 2 * std::max<uint64_t>(1, cfg_.queueThreshold);
+    }
 
     /** Accepted warps waiting for their initial phase, in order. */
     std::deque<std::vector<QueuedRay>> fresh_;
@@ -414,6 +421,9 @@ class VtqPolicy : public DispatchPolicy
     uint32_t overThresholdNow_ = 0;
     /** Sum over queues of ceil(size / warpSize). */
     uint32_t tableEntriesNow_ = 0;
+    /** Sum over queues of min(size, heldDepthCap()); derived, so not
+     *  serialized (loadState recomputes it). */
+    uint64_t heldCapped_ = 0;
 };
 
 /** Morton/octant-binned ray reordering (DESIGN.md §9). */

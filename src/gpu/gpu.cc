@@ -286,50 +286,58 @@ Gpu::issueTrace(uint64_t now, uint32_t cta, uint32_t warp)
     CtaExec &c = ctas_[cta];
     WarpExec &w = c.warps[warp];
 
-    TraceRequest req;
-    req.token = nextToken_++;
-    req.ctaToken = cta;
-    for (uint32_t l = 0; l < w.lanes.size(); l++) {
-        LaneCtx &lane = w.lanes[l];
+    uint32_t traced = 0;
+    for (LaneCtx &lane : w.lanes) {
         lane.traced = lane.path.alive;
-        if (lane.traced)
-            req.lanes.push_back({uint8_t(l), lane.path.ray});
+        traced += lane.traced ? 1 : 0;
     }
-    assert(!req.lanes.empty());
-    run_.raysTraced += req.lanes.size();
-    w.token = req.token;
-    tokenMap_[req.token] = {cta, warp};
+    assert(traced > 0);
+    run_.raysTraced += traced;
+    w.token = nextToken_++;
+    tokenMap_[w.token] = {cta, warp};
     w.phase = WarpPhase::WaitAccept;
 
+    // Warps reach the unit in issue order: behind a refused warp, this
+    // one waits for the retry that admits its predecessors.
     SmState &sm = sms_[c.smId];
-    if (sm.acceptQueue.empty() &&
-        rtUnits_[c.smId]->tryAccept(now, std::move(req))) {
-        refreshRtEvent(c.smId);
-        w.phase = WarpPhase::WaitTrace;
-        maybeSuspendCta(now, cta);
-    } else {
-        // Request will be rebuilt at retry time from lane state.
-        sm.acceptQueue.push_back({cta, warp});
-    }
+    sm.acceptQueue.push_back({cta, warp});
+    if (sm.acceptQueue.size() == 1)
+        retryAccepts(now, c.smId);
 }
 
 void
 Gpu::retryAccepts(uint64_t now, uint32_t smId)
 {
     SmState &sm = sms_[smId];
+    BaselineRtUnit &rt = *rtUnits_[smId];
+    // After a refusal only a completed ray can free capacity (the head
+    // warp's lane count is fixed), so asking again before one is
+    // wasted work — unless the refusal would trace a QueueOverflow
+    // event, which keeps trace files identical (DESIGN.md §9).
+    if (sm.refusedAtCompleted &&
+        *sm.refusedAtCompleted == rt.stats().raysCompleted &&
+        !rt.overflowEventDue(now))
+        return;
+    sm.refusedAtCompleted.reset();
     while (!sm.acceptQueue.empty()) {
         auto [cta, warp] = sm.acceptQueue.front();
-        CtaExec &c = ctas_[cta];
-        WarpExec &w = c.warps[warp];
+        WarpExec &w = ctas_[cta].warps[warp];
 
+        uint32_t lanes = 0;
+        for (const LaneCtx &lane : w.lanes)
+            lanes += lane.traced ? 1 : 0;
+        if (!rt.admit(now, lanes)) {
+            sm.refusedAtCompleted = rt.stats().raysCompleted;
+            return;
+        }
         TraceRequest req;
         req.token = w.token;
         req.ctaToken = cta;
+        req.lanes.reserve(lanes);
         for (uint32_t l = 0; l < w.lanes.size(); l++)
             if (w.lanes[l].traced)
                 req.lanes.push_back({uint8_t(l), w.lanes[l].path.ray});
-        if (!rtUnits_[smId]->tryAccept(now, std::move(req)))
-            return;
+        rt.accept(now, std::move(req));
         refreshRtEvent(smId);
         sm.acceptQueue.pop_front();
         w.phase = WarpPhase::WaitTrace;
@@ -779,6 +787,7 @@ Gpu::loadState(Deserializer &d)
         sm.regsUsed = d.u32();
         sm.aluBusyUntil = d.u64();
         sm.acceptQueue.clear();
+        sm.refusedAtCompleted.reset();
         uint64_t naccept = d.u64();
         for (uint64_t i = 0; i < naccept; i++) {
             uint32_t cta = d.u32();

@@ -16,6 +16,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string>
 #include <unordered_map>
@@ -189,6 +190,10 @@ class Gpu
         uint64_t aluBusyUntil = 0;
         std::deque<std::pair<uint32_t, uint32_t>> acceptQueue; // cta,warp
         std::deque<uint32_t> resumeQueue;                      // cta
+        /** The RT unit's raysCompleted when it last refused the head
+         *  of acceptQueue; unset while nothing is refused. Derived
+         *  retry state: not serialized, cleared on restore. */
+        std::optional<uint64_t> refusedAtCompleted;
     };
 
     struct Event
@@ -327,6 +332,8 @@ class Gpu
                      uint32_t instrs);
     void onAluDone(uint64_t now, uint32_t cta, uint32_t warp);
     void issueTrace(uint64_t now, uint32_t cta, uint32_t warp);
+    /** Offer SM @p sm's accept queue to its RT unit, head first, until
+     *  the unit refuses (DESIGN.md §9: refusals are event-driven). */
     void retryAccepts(uint64_t now, uint32_t sm);
     void refreshRtEvent(uint32_t sm)
     { rtNextEvent_[sm] = rtUnits_[sm]->nextEventCycle(); }

@@ -201,6 +201,7 @@ Gpu::enterFunctional()
     // cap). Their tokens never reached a unit, so unroute them here.
     for (uint32_t s = 0; s < cfg_.numSms; s++) {
         SmState &sm = sms_[s];
+        sm.refusedAtCompleted.reset();
         while (!sm.acceptQueue.empty()) {
             auto [cta, warp] = sm.acceptQueue.front();
             sm.acceptQueue.pop_front();

@@ -83,8 +83,11 @@ BaselineRtUnit::BaselineRtUnit(const GpuConfig &cfg, MemorySystem &mem,
     policy_ = makeDispatchPolicy(cfg, bvh, stats_);
     parksRays_ = policy_->parksRays();
     slots_.resize(cfg.warpBufferSize);
-    for (WarpSlot &slot : slots_)
+    for (WarpSlot &slot : slots_) {
         slot.entries.resize(cfg.warpSize);
+        slot.stage.assign(cfg.warpSize, RayStage::Done);
+        slot.ready.assign(cfg.warpSize, 0);
+    }
 }
 
 BaselineRtUnit::~BaselineRtUnit() = default;
@@ -144,25 +147,28 @@ BaselineRtUnit::telemEvent(uint64_t now, TelemEventKind kind, uint64_t a0,
 // ---- per-ray pipeline ----------------------------------------------------
 
 bool
-BaselineRtUnit::stepRay(uint64_t now, RayEntry &e, TraversalMode mode,
-                        bool stop_at_issue)
+BaselineRtUnit::stepRay(uint64_t now, WarpSlot &slot, size_t i,
+                        TraversalMode mode, bool stop_at_issue)
 {
+    RayEntry &e = slot.entries[i];
+    RayStage &stage = slot.stage[i];
+    uint64_t &ready = slot.ready[i];
     bool changed = false;
     for (;;) {
-        switch (e.stage) {
+        switch (stage) {
           case RayStage::WaitData:
-            if (e.ready > now)
+            if (ready > now)
                 return changed;
-            e.stage = RayStage::NeedIssue;
+            stage = RayStage::NeedIssue;
             changed = true;
             break;
 
           case RayStage::NeedIssue: {
-            if (needsPolicy(e) || stop_at_issue)
+            if (needsPolicy(slot, i) || stop_at_issue)
                 return changed; // caller decides (done / boundary / park)
             if (memIssue_.nextFree(now) > now) {
                 // Issue port exhausted this cycle; wake when it frees.
-                noteEvent(memIssue_.nextFree(now));
+                noteIssueWake(memIssue_.nextFree(now));
                 return changed;
             }
             uint64_t issue_at = memIssue_.book(now);
@@ -177,42 +183,41 @@ BaselineRtUnit::stepRay(uint64_t now, RayEntry &e, TraversalMode mode,
                 acc.leaf ? MemClass::Triangle : MemClass::BvhNode;
             // Deferred in an issue phase: the sentinel parks the ray in
             // WaitMem until commitIssuePhase() stores the real ready
-            // cycle through &e.ready (slot entries never move mid-tick).
-            e.ready = kPendingReady;
-            port_.read(issue_at, acc.addr, acc.bytes, cls, false,
-                       &e.ready);
+            // cycle through &ready (the slot arrays never move).
+            ready = kPendingReady;
+            port_.read(issue_at, acc.addr, acc.bytes, cls, false, &ready);
             // Outside an issue phase the read resolved synchronously
-            // and e.ready is already real; otherwise the sentinel is
+            // and ready is already real; otherwise the sentinel is
             // read after commitIssuePhase() resolves it. Either way the
             // entry stays parked in WaitMem (and its slot occupied)
             // until then, so the recorded pointer cannot dangle.
-            if (e.ready == kPendingReady)
-                notePendingEvent(&e.ready);
-            else if (e.ready > now)
-                noteEvent(e.ready);
+            if (ready == kPendingReady)
+                notePendingEvent(&ready);
+            else if (ready > now)
+                noteEvent(ready);
             e.fetchIsLeaf = acc.leaf;
-            e.stage = RayStage::WaitMem;
+            stage = RayStage::WaitMem;
             changed = true;
             break;
           }
 
           case RayStage::WaitMem: {
-            if (e.ready > now)
+            if (ready > now)
                 return changed;
             // Data returned to the response FIFO; enter the
             // intersection pipeline (throughput limited).
-            uint64_t start = isect_.book(std::max(now, e.ready));
-            e.ready = start + (e.fetchIsLeaf ? cfg_.isectTriLatency
-                                             : nodeLatency_);
-            e.stage = RayStage::WaitIsect;
-            if (e.ready > now)
-                noteEvent(e.ready);
+            uint64_t start = isect_.book(std::max(now, ready));
+            ready = start + (e.fetchIsLeaf ? cfg_.isectTriLatency
+                                           : nodeLatency_);
+            stage = RayStage::WaitIsect;
+            if (ready > now)
+                noteEvent(ready);
             changed = true;
             break;
           }
 
           case RayStage::WaitIsect: {
-            if (e.ready > now)
+            if (ready > now)
                 return changed;
             uint32_t tests = e.trav.complete();
             stats_.isectTests[modeIndex(mode)] += tests;
@@ -220,7 +225,7 @@ BaselineRtUnit::stepRay(uint64_t now, RayEntry &e, TraversalMode mode,
                 stats_.leafVisits++;
             else
                 stats_.nodeVisits++;
-            e.stage = RayStage::NeedIssue;
+            stage = RayStage::NeedIssue;
             changed = true;
             break;
           }
@@ -234,21 +239,25 @@ BaselineRtUnit::stepRay(uint64_t now, RayEntry &e, TraversalMode mode,
 // ---- accept and delivery -------------------------------------------------
 
 bool
-BaselineRtUnit::tryAccept(uint64_t now, TraceRequest &&req)
+BaselineRtUnit::admit(uint64_t now, uint32_t lanes)
+{
+    if (policy_->admit(lanes))
+        return true;
+    if (overflowEventDue(now)) {
+        telemEvent(now, TelemEventKind::QueueOverflow, raysOwned());
+        lastOverflowEventAt_ = now;
+    }
+    return false;
+}
+
+void
+BaselineRtUnit::accept(uint64_t now, TraceRequest &&req)
 {
     uint32_t lanes = uint32_t(req.lanes.size());
-    if (!policy_->admit(lanes)) {
-        if (telem_ && (lastOverflowEventAt_ == 0 ||
-                       now >= lastOverflowEventAt_ + telem_->every)) {
-            telemEvent(now, TelemEventKind::QueueOverflow, raysOwned());
-            lastOverflowEventAt_ = now;
-        }
-        return false;
-    }
     if (lanes == 0) {
         if (completion_)
             completion_(req.token, {});
-        return true;
+        return;
     }
 
     // The shader warp stalls at traceRayEXT() either way; holding the
@@ -279,7 +288,6 @@ BaselineRtUnit::tryAccept(uint64_t now, TraceRequest &&req)
     // tick, so schedule a same-cycle tick.
     if (dispatch(now))
         noteEvent(now);
-    return true;
 }
 
 void
@@ -299,8 +307,9 @@ BaselineRtUnit::deliver(uint64_t warp_token, uint8_t lane,
 }
 
 void
-BaselineRtUnit::finishEntry(uint64_t now, WarpSlot &slot, RayEntry &e)
+BaselineRtUnit::finishEntry(uint64_t now, WarpSlot &slot, size_t i)
 {
+    RayEntry &e = slot.entries[i];
     policy_->onRayComplete(e.trav);
     if (telem_ && e.trav.specOutcome() != RayTraverser::SpecOutcome::None)
         telemEvent(now, TelemEventKind::SpeculationVerdict,
@@ -310,7 +319,7 @@ BaselineRtUnit::finishEntry(uint64_t now, WarpSlot &slot, RayEntry &e)
     deliver(e.warpToken, e.lane, e.trav.hit());
     policy_->releaseRay(e.rayId);
     e.valid = false;
-    e.stage = RayStage::Done;
+    slot.stage[i] = RayStage::Done;
     slot.active--;
     stats_.raysCompleted++;
 }
@@ -371,10 +380,12 @@ BaselineRtUnit::fillSlot(uint64_t now, WarpSlot &slot)
 void
 BaselineRtUnit::install(uint64_t now, WarpSlot &slot, QueuedRay &&q)
 {
-    auto it = std::find_if(slot.entries.begin(), slot.entries.end(),
-                           [](const RayEntry &e) { return !e.valid; });
-    assert(it != slot.entries.end() && "no free entry in slot");
-    RayEntry &e = *it;
+    size_t i = size_t(std::find(slot.stage.begin(), slot.stage.end(),
+                                RayStage::Done) -
+                      slot.stage.begin());
+    assert(i < slot.entries.size() && "no free entry in slot");
+    RayEntry &e = slot.entries[i];
+    uint64_t &ready = slot.ready[i];
     e.valid = true;
     e.lane = q.lane;
     e.warpToken = q.warpToken;
@@ -401,8 +412,8 @@ BaselineRtUnit::install(uint64_t now, WarpSlot &slot, QueuedRay &&q)
             e.trav.enterNextTreelet();
             prefetchOnEnter(now);
         }
-        e.stage = RayStage::NeedIssue;
-        e.ready = now;
+        slot.stage[i] = RayStage::NeedIssue;
+        ready = now;
         return;
     }
 
@@ -412,23 +423,23 @@ BaselineRtUnit::install(uint64_t now, WarpSlot &slot, QueuedRay &&q)
     // unless the preloader already fetched it (section 4.3).
     travPool_.push_back(std::move(e.trav));
     e.trav = std::move(q.trav);
-    e.stage = RayStage::WaitData;
+    slot.stage[i] = RayStage::WaitData;
     if (q.dataReadyAt > 0) {
-        // A kPendingReady preload sentinel propagates into e.ready and
-        // stalls the ray until onMemCommit() patches it (which also
-        // notes the wake-up).
-        e.ready = std::max(now, q.dataReadyAt);
+        // A kPendingReady preload sentinel propagates into the ready
+        // cycle and stalls the ray until onMemCommit() patches it
+        // (which also notes the wake-up).
+        ready = std::max(now, q.dataReadyAt);
     } else {
-        e.ready = kPendingReady;
+        ready = kPendingReady;
         port_.read(now, rayDataAddr(e.rayId), kRayDataBytes,
-                   MemClass::RayData, true, &e.ready);
+                   MemClass::RayData, true, &ready);
     }
-    // Entries live in a fixed-size vector and a WaitData entry pins its
+    // The slot arrays are sized once and a WaitData entry pins its
     // slot, so the sentinel pointer stays valid until drained.
-    if (e.ready == kPendingReady)
-        notePendingEvent(&e.ready);
+    if (ready == kPendingReady)
+        notePendingEvent(&ready);
     else
-        noteEvent(e.ready);
+        noteEvent(ready);
 }
 
 void
@@ -442,8 +453,9 @@ BaselineRtUnit::freeSlot(WarpSlot &slot)
 }
 
 void
-BaselineRtUnit::park(uint64_t now, WarpSlot &slot, RayEntry &e)
+BaselineRtUnit::park(uint64_t now, WarpSlot &slot, size_t i)
 {
+    RayEntry &e = slot.entries[i];
     uint32_t target = e.trav.atBoundary() ? e.trav.nextTreelet()
                                           : e.trav.currentTreelet();
     assert(target != kInvalidTreelet);
@@ -465,7 +477,7 @@ BaselineRtUnit::park(uint64_t now, WarpSlot &slot, RayEntry &e)
     policy_->park(std::move(q), target);
 
     e.valid = false;
-    e.stage = RayStage::Done;
+    slot.stage[i] = RayStage::Done;
     slot.active--;
 }
 
@@ -565,11 +577,12 @@ BaselineRtUnit::onMemCommit(uint64_t now)
         // drained before this patch (and is skipped), so note the real
         // wake-up here.
         for (WarpSlot &slot : slots_) {
-            for (RayEntry &e : slot.entries) {
-                if (e.valid && e.stage == RayStage::WaitData &&
-                    e.rayId == f.rayId && e.ready == kPendingReady) {
-                    e.ready = std::max(now, ready);
-                    noteEvent(e.ready);
+            for (size_t i = 0; i < slot.entries.size(); i++) {
+                if (slot.stage[i] == RayStage::WaitData &&
+                    slot.ready[i] == kPendingReady &&
+                    slot.entries[i].rayId == f.rayId) {
+                    slot.ready[i] = std::max(now, ready);
+                    noteEvent(slot.ready[i]);
                     found = true;
                     break;
                 }
@@ -606,10 +619,11 @@ BaselineRtUnit::slotDivergence(const WarpSlot &slot) const
 }
 
 bool
-BaselineRtUnit::resolve(uint64_t now, WarpSlot &slot, RayEntry &e)
+BaselineRtUnit::resolve(uint64_t now, WarpSlot &slot, size_t i)
 {
+    RayEntry &e = slot.entries[i];
     if (e.trav.done()) {
-        finishEntry(now, slot, e);
+        finishEntry(now, slot, i);
         return false;
     }
     // A draining initial warp parks every ray at its next stopping
@@ -629,16 +643,16 @@ BaselineRtUnit::resolve(uint64_t now, WarpSlot &slot, RayEntry &e)
         }
         slot.draining = slot.kind == SlotKind::Initial;
     }
-    park(now, slot, e);
+    park(now, slot, i);
     return false;
 }
 
 void
 BaselineRtUnit::resolveSlot(uint64_t now, WarpSlot &slot)
 {
-    for (RayEntry &e : slot.entries)
-        if (e.valid && e.stage == RayStage::NeedIssue)
-            resolve(now, slot, e);
+    for (size_t i = 0; i < slot.entries.size(); i++)
+        if (slot.stage[i] == RayStage::NeedIssue)
+            resolve(now, slot, i);
 
     // Warp repacking (section 4.5): refill an underpopulated
     // ray-stationary warp with parked rays from the queues.
@@ -661,14 +675,18 @@ BaselineRtUnit::stepSlot(uint64_t now, WarpSlot &slot)
     TraversalMode mode = modeOf(slot.kind);
     uint32_t before = slot.active;
     bool stepped = false;
-    for (RayEntry &e : slot.entries) {
-        // Not-due waits can't progress; skip the call entirely.
-        if (!e.valid || (e.stage != RayStage::NeedIssue && e.ready > now))
+    for (size_t i = 0; i < slot.entries.size(); i++) {
+        // Free entries (Done) and not-due waits can't progress; skip
+        // the call entirely.
+        RayStage st = slot.stage[i];
+        if (st == RayStage::Done ||
+            (st != RayStage::NeedIssue && slot.ready[i] > now))
             continue;
-        stepped |= stepRay(now, e, mode, slot.draining);
+        assert(slot.entries[i].valid);
+        stepped |= stepRay(now, slot, i, mode, slot.draining);
         // Ray-stationary policies decide at once and keep going.
-        while (!parksRays_ && needsPolicy(e) && resolve(now, slot, e))
-            stepRay(now, e, mode);
+        while (!parksRays_ && needsPolicy(slot, i) && resolve(now, slot, i))
+            stepRay(now, slot, i, mode);
     }
     // The boundary pass leaves no actionable entry behind, so it is a
     // no-op until a ray makes progress, entries are (re)installed, or
@@ -726,7 +744,7 @@ BaselineRtUnit::tick(uint64_t now)
                 again |= stepSlot(now, slot);
         // Without parking, a slot only comes free when its warp
         // finishes and arriving rays fill a free slot at once
-        // (tryAccept), so only a pass that freed a slot can dispatch.
+        // (accept), so only a pass that freed a slot can dispatch.
         // Parking changes the queues, so that pipeline tries each pass.
         if (again || parksRays_)
             dispatch(now);
@@ -790,11 +808,11 @@ BaselineRtUnit::drainFunctional(uint64_t now)
     // Slot entries first: finish each in place and deliver via the
     // normal path so per-warp bookkeeping (warps_) stays consistent.
     for (WarpSlot &slot : slots_) {
-        for (RayEntry &e : slot.entries) {
-            if (!e.valid)
+        for (size_t i = 0; i < slot.entries.size(); i++) {
+            if (!slot.entries[i].valid)
                 continue;
-            finishTraversal(e.trav);
-            finishEntry(now, slot, e);
+            finishTraversal(slot.entries[i].trav);
+            finishEntry(now, slot, i);
         }
         freeSlot(slot);
     }
@@ -833,9 +851,9 @@ BaselineRtUnit::debugStatus() const
 {
     std::array<uint32_t, 5> stages{};
     for (const WarpSlot &slot : slots_)
-        for (const RayEntry &e : slot.entries)
-            if (e.valid)
-                stages[size_t(e.stage)]++;
+        for (size_t i = 0; i < slot.entries.size(); i++)
+            if (slot.entries[i].valid)
+                stages[size_t(slot.stage[i])]++;
     std::ostringstream os;
     os << "rt policy=" << dispatchPolicyName(policy_->kind())
        << " queued=" << policy_->queuedRays() << " slots{";
@@ -884,9 +902,11 @@ RtStats::loadState(Deserializer &d)
 }
 
 void
-BaselineRtUnit::saveRayEntry(Serializer &s, const RayEntry &e) const
+BaselineRtUnit::saveRayEntry(Serializer &s, const WarpSlot &slot,
+                             size_t i) const
 {
-    if (e.valid && e.ready == kPendingReady)
+    const RayEntry &e = slot.entries[i];
+    if (e.valid && slot.ready[i] == kPendingReady)
         throw SnapshotError(
             "snapshot: ray entry with unresolved deferred ready "
             "(capture outside the serial commit boundary)");
@@ -896,14 +916,15 @@ BaselineRtUnit::saveRayEntry(Serializer &s, const RayEntry &e) const
     s.u32(e.ctaToken);
     s.u32(e.rayId);
     e.trav.saveState(s);
-    s.u8(uint8_t(e.stage));
-    s.u64(e.ready);
+    s.u8(uint8_t(slot.stage[i]));
+    s.u64(slot.ready[i]);
     s.b(e.fetchIsLeaf);
 }
 
 void
-BaselineRtUnit::loadRayEntry(Deserializer &d, RayEntry &e)
+BaselineRtUnit::loadRayEntry(Deserializer &d, WarpSlot &slot, size_t i)
 {
+    RayEntry &e = slot.entries[i];
     e.valid = d.b();
     e.lane = d.u8();
     e.warpToken = d.u64();
@@ -913,8 +934,8 @@ BaselineRtUnit::loadRayEntry(Deserializer &d, RayEntry &e)
     uint8_t stage = d.u8();
     if (stage > uint8_t(RayStage::Done))
         throw SnapshotError("snapshot: ray stage out of range");
-    e.stage = RayStage(stage);
-    e.ready = d.u64();
+    slot.stage[i] = RayStage(stage);
+    slot.ready[i] = d.u64();
     e.fetchIsLeaf = d.b();
 }
 
@@ -935,6 +956,7 @@ BaselineRtUnit::saveState(Serializer &s) const
     // of a heap of plain cycles depends only on the multiset anyway.
     (void)cachedNextEvent();
     std::vector<uint64_t> events = eventHeap_;
+    events.insert(events.end(), issueWakeCount_, issueWakeAt_);
     std::sort(events.begin(), events.end());
     s.vecPod(events);
 
@@ -944,8 +966,8 @@ BaselineRtUnit::saveState(Serializer &s) const
         s.u32(slot.treelet);
         s.b(slot.draining);
         s.b(slot.policyPending);
-        for (const RayEntry &e : slot.entries)
-            saveRayEntry(s, e);
+        for (size_t i = 0; i < slot.entries.size(); i++)
+            saveRayEntry(s, slot, i);
         s.u32(slot.active);
     }
     // std::map iterates token-sorted: identical states serialize to
@@ -977,6 +999,7 @@ BaselineRtUnit::loadState(Deserializer &d)
     isect_.loadState(d);
     pendingEventReadies_.clear();
     eventHeap_ = d.vecPod<uint64_t>(); // sorted == valid min-heap
+    issueWakeCount_ = 0;
 
     if (d.u64() != slots_.size())
         throw SnapshotError("snapshot: warp slot count mismatch");
@@ -988,8 +1011,8 @@ BaselineRtUnit::loadState(Deserializer &d)
         slot.treelet = d.u32();
         slot.draining = d.b();
         slot.policyPending = d.b();
-        for (RayEntry &e : slot.entries)
-            loadRayEntry(d, e);
+        for (size_t i = 0; i < slot.entries.size(); i++)
+            loadRayEntry(d, slot, i);
         slot.active = d.u32();
     }
     warps_.clear();

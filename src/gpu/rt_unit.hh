@@ -194,7 +194,8 @@ enum class RayStage : uint8_t
     Done,
 };
 
-/** A ray entry of the warp buffer. */
+/** A ray entry of the warp buffer. Its stage and ready cycle live in
+ *  the owning WarpSlot's arrays. */
 struct RayEntry
 {
     bool valid = false;
@@ -203,8 +204,6 @@ struct RayEntry
     uint32_t ctaToken = 0;
     uint32_t rayId = 0; //!< Virtual ray id (treelet queues only).
     RayTraverser trav;
-    RayStage stage = RayStage::Done;
-    uint64_t ready = 0;
     bool fetchIsLeaf = false;
 };
 
@@ -218,7 +217,16 @@ struct WarpSlot
      *  the next tick pass must run it even without step progress. */
     bool policyPending = false;
     std::vector<RayEntry> entries; //!< warpSize entries.
-    uint32_t active = 0;           //!< Valid entries.
+    /**
+     * Entry i's pipeline stage and the cycle its current wait ends,
+     * kept beside the entries so the tick's due test reads a few
+     * hundred bytes instead of every traverser. A free entry is Done.
+     * Sized once with the entries: deferred memory requests write
+     * their ready cycle through &ready[i].
+     */
+    std::vector<RayStage> stage;
+    std::vector<uint64_t> ready;
+    uint32_t active = 0; //!< Valid entries.
 };
 
 /**
@@ -271,8 +279,24 @@ class BaselineRtUnit
                    uint32_t sm_id);
     ~BaselineRtUnit(); //!< Out-of-line: DispatchPolicy is fwd.
 
-    /** Try to take a warp's trace. False = caller must retry later. */
-    bool tryAccept(uint64_t now, TraceRequest &&req);
+    /**
+     * Whether the unit takes a warp of @p lanes more rays now (the
+     * policy's ray cap, DESIGN.md §9). A refusal traces a
+     * rate-limited QueueOverflow event. The answer can only turn to
+     * yes once the unit completes a ray (stats().raysCompleted moves),
+     * so a refused caller need not ask again before that unless
+     * overflowEventDue().
+     */
+    bool admit(uint64_t now, uint32_t lanes);
+    /** Take an admitted warp's trace. */
+    void accept(uint64_t now, TraceRequest &&req);
+    /** Whether a refusal at @p now would trace a QueueOverflow. */
+    bool
+    overflowEventDue(uint64_t now) const
+    {
+        return telem_ && (lastOverflowEventAt_ == 0 ||
+                          now >= lastOverflowEventAt_ + telem_->every);
+    }
 
     /** Advance internal state to time @p now. */
     void tick(uint64_t now);
@@ -359,15 +383,17 @@ class BaselineRtUnit
      * a warp that is being terminated into the treelet queues).
      * @return true if state changed.
      */
-    bool stepRay(uint64_t now, RayEntry &e, TraversalMode mode,
+    bool stepRay(uint64_t now, WarpSlot &slot, size_t i, TraversalMode mode,
                  bool stop_at_issue = false);
 
-    /** Whether the traverser needs a decision (done or at a boundary). */
+    /** Whether entry @p i's traverser needs a decision (done or at a
+     *  boundary). */
     static bool
-    needsPolicy(const RayEntry &e)
+    needsPolicy(const WarpSlot &slot, size_t i)
     {
-        return e.stage == RayStage::NeedIssue &&
-               (e.trav.done() || e.trav.atBoundary());
+        const RayTraverser &t = slot.entries[i].trav;
+        return slot.stage[i] == RayStage::NeedIssue &&
+               (t.done() || t.atBoundary());
     }
 
     static TraversalMode modeOf(SlotKind k);
@@ -378,10 +404,10 @@ class BaselineRtUnit
      *  tick loop may find work: the slot freed, or (parking policies)
      *  any ray or the slot changed. */
     bool stepSlot(uint64_t now, WarpSlot &slot);
-    /** Act on a ray stopped at NeedIssue: deliver it when done, else
-     *  take the policy's continue-or-park decision at a treelet
+    /** Act on entry @p i stopped at NeedIssue: deliver it when done,
+     *  else take the policy's continue-or-park decision at a treelet
      *  boundary. True when the ray entered its next treelet. */
-    bool resolve(uint64_t now, WarpSlot &slot, RayEntry &e);
+    bool resolve(uint64_t now, WarpSlot &slot, size_t i);
     /** Parking policies' per-warp boundary pass: resolve every stopped
      *  ray, then repack the warp if the policy asks for it. */
     void resolveSlot(uint64_t now, WarpSlot &slot);
@@ -397,10 +423,10 @@ class BaselineRtUnit
     /** Move @p q into a free entry of @p slot: fresh rays enter their
      *  first treelet, parked rays (re)load their ray data. */
     void install(uint64_t now, WarpSlot &slot, QueuedRay &&q);
-    /** Park @p e's ray into the queue of its next treelet. */
-    void park(uint64_t now, WarpSlot &slot, RayEntry &e);
-    /** Deliver a finished ray's hit and release its entry. */
-    void finishEntry(uint64_t now, WarpSlot &slot, RayEntry &e);
+    /** Park entry @p i's ray into the queue of its next treelet. */
+    void park(uint64_t now, WarpSlot &slot, size_t i);
+    /** Deliver entry @p i's finished ray and release the entry. */
+    void finishEntry(uint64_t now, WarpSlot &slot, size_t i);
     /** Record a finished ray's hit; fires completion_ on the last. */
     void deliver(uint64_t warp_token, uint8_t lane, const HitRecord &hit);
     /** Mark a slot with no live rays free. */
@@ -442,6 +468,28 @@ class BaselineRtUnit
     void notePendingEvent(const uint64_t *ready)
     { pendingEventReadies_.push_back(ready); }
 
+    /**
+     * Record the issue port's free cycle for a ray it turned away.
+     * Every ray a full port turns away in one tick waits for the same
+     * cycle, so the records are held as one cycle and a count instead
+     * of one heap push each; only the snapshot sees the count, which
+     * lists every record as the heap would.
+     */
+    void
+    noteIssueWake(uint64_t cycle)
+    {
+        if (issueWakeCount_ != 0 && issueWakeAt_ != cycle) {
+            // A different cycle while one is held: keep both.
+            eventHeap_.insert(eventHeap_.end(), issueWakeCount_,
+                              issueWakeAt_);
+            std::make_heap(eventHeap_.begin(), eventHeap_.end(),
+                           std::greater<>{});
+            issueWakeCount_ = 0;
+        }
+        issueWakeAt_ = cycle;
+        issueWakeCount_++;
+    }
+
     /** Drop event records at or before @p now; call at tick() start
      *  (the tick processes everything ready by @p now). */
     void
@@ -453,6 +501,8 @@ class BaselineRtUnit
                           std::greater<>{});
             eventHeap_.pop_back();
         }
+        if (issueWakeAt_ <= now)
+            issueWakeCount_ = 0;
     }
 
     /** Current earliest recorded event (kNoEvent when none). */
@@ -460,7 +510,8 @@ class BaselineRtUnit
     cachedNextEvent() const
     {
         drainPendingEvents();
-        return eventHeap_.empty() ? kNoEvent : eventHeap_.front();
+        uint64_t next = eventHeap_.empty() ? kNoEvent : eventHeap_.front();
+        return issueWakeCount_ != 0 ? std::min(next, issueWakeAt_) : next;
     }
 
     /** Forget every recorded wake-up (drainFunctional leaves no rays
@@ -472,6 +523,7 @@ class BaselineRtUnit
     {
         eventHeap_.clear();
         pendingEventReadies_.clear();
+        issueWakeCount_ = 0;
     }
 
     void
@@ -490,10 +542,11 @@ class BaselineRtUnit
         pendingEventReadies_.clear();
     }
 
-    /** Serialize one warp-buffer ray entry (traverser included). */
-    void saveRayEntry(Serializer &s, const RayEntry &e) const;
-    /** Restore one ray entry, re-binding its traverser to bvh_. */
-    void loadRayEntry(Deserializer &d, RayEntry &e);
+    /** Serialize entry @p i of @p slot (traverser included). */
+    void saveRayEntry(Serializer &s, const WarpSlot &slot, size_t i) const;
+    /** Restore entry @p i of @p slot, re-binding its traverser to
+     *  bvh_. */
+    void loadRayEntry(Deserializer &d, WarpSlot &slot, size_t i);
 
     // --- telemetry (DESIGN.md §12) -----------------------------------
     /** Stage a periodic time-series sample if one is due. Call at
@@ -570,9 +623,9 @@ class BaselineRtUnit
     uint32_t loadedTreelet_ = kInvalidTreelet;
     uint32_t preloadedTreelet_ = kInvalidTreelet;
 
-    /** Last cycle a QueueOverflow event was traced. Admission refusals
-     *  repeat every retry cycle while the unit is full; tracing one per
-     *  sampling window keeps the trace readable. Serialized so a
+    /** Last cycle a QueueOverflow event was traced. A full unit
+     *  refuses the same warp again at every retry; tracing one refusal
+     *  per sampling window keeps the trace readable. Serialized so a
      *  resumed trace rate-limits identically. */
     uint64_t lastOverflowEventAt_ = 0;
 
@@ -598,6 +651,10 @@ class BaselineRtUnit
     // the heap from the const query path.
     mutable std::vector<uint64_t> eventHeap_;
     mutable std::vector<const uint64_t *> pendingEventReadies_;
+    /** Issue-port wake-ups held outside the heap (noteIssueWake): a
+     *  cycle and how many records it stands for (0 = none). */
+    uint64_t issueWakeAt_ = 0;
+    uint64_t issueWakeCount_ = 0;
 };
 
 } // namespace trt

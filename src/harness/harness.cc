@@ -164,6 +164,18 @@ HarnessOptions::fromArgs(int argc, char **argv)
     return opt;
 }
 
+int
+runMain(int argc, char **argv, int (*body)(int, char **))
+{
+    try {
+        return body(argc, argv);
+    } catch (const EnvError &e) {
+        std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "bench",
+                     e.what());
+        return 2;
+    }
+}
+
 const SceneBundle &
 HarnessOptions::bundle(const std::string &scene) const
 {

@@ -135,6 +135,13 @@ void writeCsv(const HarnessOptions &opt, const Table &table,
 /** Print a standard bench header with the effective options. */
 void printBenchHeader(const std::string &title, const HarnessOptions &opt);
 
+/**
+ * The body of every bench main: run @p body and turn a malformed knob
+ * (EnvError) into one "<prog>: <message>" line on stderr and exit
+ * status 2, as trt_farm does. Other exceptions propagate.
+ */
+int runMain(int argc, char **argv, int (*body)(int, char **));
+
 } // namespace trt
 
 #endif // TRT_HARNESS_HARNESS_HH

@@ -100,8 +100,10 @@ jobKnobs()
              s.scale = float(parseDoubleText(what, text));
          },
          [](const JobSpec &s) { return formatFloat(s.scale); }},
-        uintKnob("res", "TRT_RES", 1 << 16,
-                 [](auto &s) -> auto & { return s.resolution; }),
+        uintKnob(
+            "res", "TRT_RES", 1 << 16,
+            [](auto &s) -> auto & { return s.resolution; }, positive,
+            "> 0"),
         {"config", "TRT_POLICY",
          [](JobSpec &s, const std::string &, const std::string &text) {
              s.config = text;

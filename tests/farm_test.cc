@@ -163,6 +163,7 @@ TEST(FarmJobSpec, StrictParsing)
     EXPECT_THROW(JobSpec::deserialize("res=128\n"), EnvError); // no scene
     EXPECT_THROW(JobSpec::deserialize("scene=B\nres=-5\n"), EnvError);
     EXPECT_THROW(JobSpec::deserialize("scene=B\nres=12x\n"), EnvError);
+    EXPECT_THROW(JobSpec::deserialize("scene=B\nres=0\n"), EnvError);
     EXPECT_THROW(JobSpec::deserialize("scene=B\npredict_shared=maybe\n"),
                  EnvError);
     // The knob table's checks fire at parse time, not first when the

@@ -13,13 +13,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "core/arch.hh"
+#include "geom/hash.hh"
 #include "gpu/run_stats_io.hh"
 #include "harness/harness.hh"
 #include "harness/job.hh"
 #include "scene/registry.hh"
+#include "telemetry/telemetry.hh"
 #include "workloads/rt_query.hh"
 
 namespace trt
@@ -112,24 +117,57 @@ TEST(GoldenFingerprints, PoliciesAtBothWidths)
 }
 
 /** The ablation variants of core_test's VtqVariantsRenderIdenticalImages
- *  (a 32x32 BUNNY frame over 1 KB treelets). */
+ *  run on a 32x32 BUNNY frame over 1 KB treelets. */
+struct TinyVtqScene
+{
+    Scene scene;
+    Bvh bvh;
+};
+
+const TinyVtqScene &
+tinyVtqScene()
+{
+    static const TinyVtqScene s = [] {
+        TinyVtqScene t;
+        t.scene = buildScene("BUNNY", 0.1f);
+        BvhConfig bc;
+        bc.treeletMaxBytes = 1024;
+        t.bvh = Bvh::build(t.scene.triangles, bc);
+        return t;
+    }();
+    return s;
+}
+
+GpuConfig
+tinyVtq()
+{
+    GpuConfig c = GpuConfig::virtualizedTreeletQueues();
+    c.imageWidth = c.imageHeight = 32;
+    c.numSms = 4;
+    c.mem.numL1s = 4;
+    c.queueThreshold = 16;
+    c.repackThreshold = 22;
+    c.maxCtasPerSm = 2;
+    return c;
+}
+
+/** A ray cap of two warps: the units refuse warps for most of the
+ *  frame, so this configuration exercises the admission path. */
+constexpr uint32_t kRayCap = 64;
+
+GpuConfig
+rayCapped()
+{
+    GpuConfig c = tinyVtq();
+    c.maxVirtualRaysPerSm = kRayCap;
+    return c;
+}
+
+constexpr uint64_t kRayCapGolden = 0xfda1f576139f2ea7;
+
 TEST(GoldenFingerprints, VtqVariants)
 {
-    Scene scene = buildScene("BUNNY", 0.1f);
-    BvhConfig bc;
-    bc.treeletMaxBytes = 1024;
-    Bvh bvh = Bvh::build(scene.triangles, bc);
-
-    auto tiny = [] {
-        GpuConfig c = GpuConfig::virtualizedTreeletQueues();
-        c.imageWidth = c.imageHeight = 32;
-        c.numSms = 4;
-        c.mem.numL1s = 4;
-        c.queueThreshold = 16;
-        c.repackThreshold = 22;
-        c.maxCtasPerSm = 2;
-        return c;
-    };
+    const TinyVtqScene &t = tinyVtqScene();
     struct Variant
     {
         const char *name;
@@ -153,12 +191,61 @@ TEST(GoldenFingerprints, VtqVariants)
         {"free_virtualization",
          [](GpuConfig &c) { c.virtualizationFree = true; },
          0x361b7f9f6b30a908},
+        {"ray_cap_64",
+         [](GpuConfig &c) { c.maxVirtualRaysPerSm = kRayCap; },
+         kRayCapGolden},
     };
     for (const Variant &v : variants) {
-        GpuConfig c = tiny();
+        GpuConfig c = tinyVtq();
         v.apply(c);
-        expectGolden(simulate(c, scene, bvh), v.want, v.name);
+        expectGolden(simulate(c, t.scene, t.bvh), v.want, v.name);
     }
+
+    // The cap binds (the pin covers refusals, not just the cap check)
+    // and the refusal path is thread-count independent.
+    for (uint32_t threads : {1u, 2u}) {
+        GpuConfig c = rayCapped();
+        c.simThreads = threads;
+        RunStats st = simulate(c, t.scene, t.bvh);
+        EXPECT_EQ(st.rt.maxConcurrentRays, kRayCap) << threads;
+        expectGolden(st, kRayCapGolden,
+                     "ray_cap_64 at " + std::to_string(threads) +
+                         " sim threads");
+    }
+}
+
+/** The refusal path's telemetry: a traced cap-64 run writes the same
+ *  .tsbin bytes, QueueOverflow events included, whatever the host-side
+ *  retry schedule. */
+TEST(GoldenFingerprints, RayCapTelemetryBytes)
+{
+    namespace fs = std::filesystem;
+    fs::path dir = fs::path(::testing::TempDir()) / "trt_golden_raycap";
+    fs::remove_all(dir);
+    GpuConfig c = rayCapped();
+    c.telem.enabled = true;
+    c.telem.trace = true;
+    c.telem.everyCycles = 512;
+    c.telem.outDir = dir.string();
+    c.telem.outBase = "cap";
+    const TinyVtqScene &t = tinyVtqScene();
+    simulate(c, t.scene, t.bvh);
+
+    fs::path bin = dir / "cap.tsbin";
+    std::ifstream in(bin, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    ASSERT_FALSE(bytes.empty());
+    Fnv1a h;
+    h.bytes(bytes.data(), bytes.size());
+    EXPECT_EQ(hex(h.value()), "0x3f1ebea05a5a1178");
+
+    Telemetry back = Telemetry::readBinary(bin.string());
+    size_t overflows = 0;
+    for (const TelemEvent &e : back.events())
+        overflows += e.kind == TelemEventKind::QueueOverflow;
+    EXPECT_GT(overflows, 0u);
+    fs::remove_all(dir);
 }
 
 TEST(GoldenFingerprints, RayQueries)
